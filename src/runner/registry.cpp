@@ -5,6 +5,8 @@
 #endif
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "la/flops.hpp"
@@ -205,23 +207,13 @@ core::RunResult SolverRegistry::run(const std::string& name,
                                     const data::ShardedDataset& data,
                                     const ExperimentConfig& config) const {
   static_cast<void>(info(name));  // throws with the known names when unknown
-  return solvers_.at(name).second(cluster, data, config);
+  core::RunResult result = solvers_.at(name).second(cluster, data, config);
+  if (!std::isfinite(result.final_objective)) {
+    throw RuntimeError("solver '" + name + "' diverged: non-finite final "
+                       "objective " + std::to_string(result.final_objective));
+  }
+  return result;
 }
-
-// The overload itself is deprecated; its definition (and the migration
-// helper it delegates to) must still compile warning-free under
-// NADMM_WERROR.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-core::RunResult SolverRegistry::run(const std::string& name,
-                                    comm::SimCluster& cluster,
-                                    const data::Dataset& train,
-                                    const data::Dataset* test,
-                                    const ExperimentConfig& config) const {
-  return run(name, cluster, shard_for_solver(name, train, test, config),
-             config);
-}
-#pragma GCC diagnostic pop
 
 std::string registry_json() {
   const auto escape = [](const std::string& s) {

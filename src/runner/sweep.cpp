@@ -6,12 +6,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "comm/fault.hpp"
 #include "runner/registry.hpp"
@@ -73,12 +76,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-/// JSON has no inf/nan literals; report them as null.
-std::string fmt_json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  return fmt_double(v);
-}
-
 std::string fmt_compact(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%g", v);
@@ -130,13 +127,20 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-// --------------------------------------------------------------- journal
+// ------------------------------------------------------ result columns
 //
-// One JSON object per line; the writer is this file, so the reader is a
-// targeted field extractor rather than a general JSON parser. Numbers are
-// written with %.17g (round-trips doubles exactly; `inf`/`nan` appear as
-// bare tokens, which strtod reads back) — that is what makes a resumed
-// report byte-identical to an uninterrupted one.
+// columns() is the single definition of every per-scenario column the
+// reports carry: its name, where it appears, how its value is formatted
+// and how the journal reader restores it. The CSV row, the JSON report,
+// the journal line and restore_outcome_line all iterate it, so adding a
+// column is one entry.
+//
+// The journal is one JSON object per line; the writer is this file, so
+// the reader is a targeted field extractor rather than a general JSON
+// parser. Journal numbers are written with %.17g (round-trips doubles
+// exactly; `inf`/`nan` appear as bare tokens, which strtod reads back) —
+// that is what makes a resumed report byte-identical to an
+// uninterrupted one.
 
 /// Locate the value of `"key": ` in a journal line; npos when absent.
 std::size_t find_json_value(const std::string& line, const std::string& key) {
@@ -179,15 +183,6 @@ bool json_get_string(const std::string& line, const std::string& key,
   return pos < line.size();
 }
 
-bool json_get_double(const std::string& line, const std::string& key,
-                     double& out) {
-  const auto pos = find_json_value(line, key);
-  if (pos == std::string::npos) return false;
-  char* end = nullptr;
-  out = std::strtod(line.c_str() + pos, &end);
-  return end != line.c_str() + pos;
-}
-
 bool json_get_int(const std::string& line, const std::string& key,
                   std::int64_t& out) {
   const auto pos = find_json_value(line, key);
@@ -198,24 +193,17 @@ bool json_get_int(const std::string& line, const std::string& key,
 }
 
 constexpr const char* kJournalKind = "nadmm-sweep-journal";
-// v2: partition axis in the expansion/tag and the peak_dataset_bytes
-// column. v3: serving-mode columns (requests/batches/throughput/latency
-// percentiles). v4: the scale/weak_scaling spec knobs entered the
-// fingerprint serialization (the reproduction pipeline keys one journal
-// per scale). v5: the faults axis plus kill/checkpoint_every base knobs
-// entered the fingerprint, and the wire counters (retransmits /
-// gaps_detected / messages_dropped / checkpoints / restores) entered
-// the outcome records. v6: the five fixed wire-counter fields were
-// replaced by the generic sparse "metrics" map ("name:value;…", sorted,
-// non-zero entries only) mirroring core::RunResult::metrics. Older
-// journals are rejected on --resume — their fingerprints no longer
-// match either.
+// Bumped whenever the report columns or the fingerprint serialization
+// change; the version history is in docs/SWEEP_FORMAT.md. Older journals
+// are rejected on --resume — their fingerprints no longer match either.
 constexpr std::int64_t kJournalVersion = 6;
+
+using Metrics = std::map<std::string, std::uint64_t>;
 
 /// RunResult::metrics as the journal/JSON wire form: "name:value;…" in
 /// key order. The map never stores zero values (add_metric skips them),
 /// so fresh runs and journal restores serialize identically.
-std::string fmt_metrics(const std::map<std::string, std::uint64_t>& metrics) {
+std::string fmt_metrics(const Metrics& metrics) {
   std::ostringstream os;
   bool first = true;
   for (const auto& [name, value] : metrics) {
@@ -226,8 +214,7 @@ std::string fmt_metrics(const std::map<std::string, std::uint64_t>& metrics) {
   return os.str();
 }
 
-bool parse_metrics(const std::string& text,
-                   std::map<std::string, std::uint64_t>& out) {
+bool parse_metrics(const std::string& text, Metrics& out) {
   out.clear();
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -246,6 +233,163 @@ bool parse_metrics(const std::string& text,
   return true;
 }
 
+enum class Format { kCsv, kJson, kJournal };
+
+/// One value in one output format. Doubles are %.17g, except that JSON
+/// has no inf/nan literals and reports them as null; strings are bare in
+/// the CSV and quoted + escaped in the JSON and the journal.
+template <class T>
+std::string format_value(const T& v, Format format) {
+  if constexpr (std::is_same_v<T, double>) {
+    if (format == Format::kJson && !std::isfinite(v)) return "null";
+    return fmt_double(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    return std::to_string(v);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return format == Format::kCsv ? v : '"' + json_escape(v) + '"';
+  } else {
+    static_assert(std::is_same_v<T, Metrics>);
+    return format_value(fmt_metrics(v), format);
+  }
+}
+
+/// Read a format_value(…, kJournal) value back from a journal line.
+template <class T>
+bool read_value(const std::string& line, const std::string& key, T& out) {
+  if constexpr (std::is_same_v<T, double>) {
+    const auto pos = find_json_value(line, key);
+    if (pos == std::string::npos) return false;
+    char* end = nullptr;
+    out = std::strtod(line.c_str() + pos, &end);
+    return end != line.c_str() + pos;
+  } else if constexpr (std::is_integral_v<T>) {
+    std::int64_t v = 0;
+    if (!json_get_int(line, key, v)) return false;
+    out = static_cast<T>(v);
+    return true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return json_get_string(line, key, out);
+  } else {
+    std::string text;
+    return json_get_string(line, key, text) && parse_metrics(text, out);
+  }
+}
+
+/// Where a column appears. Report columns go to the JSON report and the
+/// journal, and are restored from the journal on resume. Scenario
+/// columns describe the grid point and are written for every row;
+/// result columns are written for ok rows only — the JSON and the
+/// journal omit them on failed rows, the CSV writes their zero value.
+enum Where : unsigned { kCsv = 1, kReport = 2, kScenario = 4 };
+
+struct Column {
+  std::string name;
+  unsigned where;
+  std::string csv_zero;  ///< a failed row's CSV cell (result columns)
+  std::function<std::string(const ScenarioOutcome&, Format)> write;
+  /// Null for derived columns, which are never journaled.
+  std::function<bool(const std::string&, ScenarioOutcome&)> restore;
+};
+
+/// A column computed from the outcome by `get`.
+template <class Get>
+Column derived(const std::string& name, unsigned where, Get get) {
+  using T = std::decay_t<std::invoke_result_t<Get, const ScenarioOutcome&>>;
+  return {name, where, format_value(T{}, Format::kCsv),
+          [get](const ScenarioOutcome& o, Format format) {
+            return format_value(get(o), format);
+          },
+          {}};
+}
+
+/// A column over the outcome field at the end of a member-pointer path;
+/// the journal reader restores it through the same path.
+template <class... Members>
+Column column(const std::string& name, unsigned where, Members... path) {
+  const auto field = [path...](auto& o) -> auto& {
+    return (o .* ... .* path);
+  };
+  Column c = derived(name, where, field);
+  c.restore = [field, name](const std::string& line, ScenarioOutcome& o) {
+    return read_value(line, name, field(o));
+  };
+  return c;
+}
+
+/// Every column in CSV order; the JSON report and the journal keep the
+/// same relative order for theirs.
+const std::vector<Column>& columns() {
+  using O = ScenarioOutcome;
+  using S = Scenario;
+  using C = ExperimentConfig;
+  using R = core::RunResult;
+  constexpr unsigned kAll = kCsv | kReport;
+  constexpr unsigned kGrid = kCsv | kScenario;
+  // The CSV flattens these entries of the metrics map into columns.
+  const auto counter = [](const char* name) {
+    return derived(name, kCsv,
+                   [name](const O& o) { return o.result.metric(name); });
+  };
+  static const std::vector<Column> table = {
+      column("scenario", kGrid, &O::scenario, &S::index),
+      column("solver", kGrid, &O::scenario, &S::solver),
+      column("dataset", kGrid, &O::scenario, &S::config, &C::dataset),
+      column("n_train", kGrid, &O::scenario, &S::config, &C::n_train),
+      column("n_test", kGrid, &O::scenario, &S::config, &C::n_test),
+      column("workers", kGrid, &O::scenario, &S::config, &C::workers),
+      column("device", kGrid, &O::scenario, &S::config, &C::device),
+      column("network", kGrid, &O::scenario, &S::config, &C::network),
+      column("penalty", kGrid, &O::scenario, &S::config, &C::penalty),
+      column("lambda", kGrid, &O::scenario, &S::config, &C::lambda),
+      column("straggler", kGrid, &O::scenario, &S::config, &C::straggler),
+      column("partition", kGrid, &O::scenario, &S::config, &C::partition),
+      derived("status", kGrid,
+              [](const O& o) { return std::string(o.ok ? "ok" : "error"); }),
+      column("iterations", kAll, &O::result, &R::iterations),
+      column("final_objective", kAll, &O::result, &R::final_objective),
+      column("final_test_accuracy", kAll, &O::result,
+             &R::final_test_accuracy),
+      column("total_sim_seconds", kAll, &O::result, &R::total_sim_seconds),
+      column("avg_epoch_sim_seconds", kAll, &O::result,
+             &R::avg_epoch_sim_seconds),
+      column("total_comm_sim_seconds", kAll, &O::comm_sim_seconds),
+      column("max_wait_seconds", kAll, &O::max_wait_seconds),
+      column("rank_wait_seconds", kAll, &O::rank_waits),
+      column("staleness_hist", kAll, &O::staleness_hist),
+      column("peak_dataset_bytes", kAll, &O::peak_dataset_bytes),
+      column("arrival", kGrid, &O::scenario, &S::arrival),
+      column("batch_policy", kGrid, &O::scenario, &S::batch),
+      column("requests", kAll, &O::serve_requests),
+      column("batches", kAll, &O::serve_batches),
+      column("throughput_rps", kAll, &O::throughput_rps),
+      column("mean_batch", kAll, &O::mean_batch),
+      column("p50_latency_s", kAll, &O::p50_latency_s),
+      column("p99_latency_s", kAll, &O::p99_latency_s),
+      column("p999_latency_s", kAll, &O::p999_latency_s),
+      column("metrics", kReport, &O::result, &R::metrics),
+      column("fault", kGrid, &O::scenario, &S::config, &C::fault),
+      column("kill", kGrid, &O::scenario, &S::config, &C::kill),
+      column("checkpoint_every", kGrid, &O::scenario, &S::config,
+             &C::checkpoint_every),
+      counter("retransmits"),
+      counter("gaps_detected"),
+      counter("messages_dropped"),
+      counter("checkpoints"),
+      counter("restores"),
+  };
+  return table;
+}
+
+/// `, "name": value` for every report column of an ok outcome.
+void write_report_columns(std::ostream& os, const ScenarioOutcome& o,
+                          Format format) {
+  for (const Column& c : columns()) {
+    if (c.where & kReport) {
+      os << ", \"" << c.name << "\": " << c.write(o, format);
+    }
+  }
+}
+
 std::string journal_header_line(const std::string& fingerprint,
                                 std::size_t scenarios) {
   std::ostringstream os;
@@ -261,27 +405,7 @@ std::string journal_outcome_line(const ScenarioOutcome& o) {
      << ", \"tag\": \"" << json_escape(o.scenario.tag()) << "\""
      << ", \"status\": \"" << (o.ok ? "ok" : "error") << "\"";
   if (o.ok) {
-    os << ", \"iterations\": " << o.result.iterations  //
-       << ", \"final_objective\": " << fmt_double(o.result.final_objective)
-       << ", \"final_test_accuracy\": "
-       << fmt_double(o.result.final_test_accuracy)
-       << ", \"total_sim_seconds\": " << fmt_double(o.result.total_sim_seconds)
-       << ", \"avg_epoch_sim_seconds\": "
-       << fmt_double(o.result.avg_epoch_sim_seconds)
-       << ", \"total_comm_sim_seconds\": " << fmt_double(o.comm_sim_seconds)
-       << ", \"max_wait_seconds\": " << fmt_double(o.max_wait_seconds)  //
-       << ", \"rank_wait_seconds\": \"" << json_escape(o.rank_waits) << "\""
-       << ", \"staleness_hist\": \"" << json_escape(o.staleness_hist) << "\""
-       << ", \"peak_dataset_bytes\": " << o.peak_dataset_bytes
-       << ", \"requests\": " << o.serve_requests                //
-       << ", \"batches\": " << o.serve_batches                  //
-       << ", \"throughput_rps\": " << fmt_double(o.throughput_rps)
-       << ", \"mean_batch\": " << fmt_double(o.mean_batch)      //
-       << ", \"p50_latency_s\": " << fmt_double(o.p50_latency_s)
-       << ", \"p99_latency_s\": " << fmt_double(o.p99_latency_s)
-       << ", \"p999_latency_s\": " << fmt_double(o.p999_latency_s)
-       << ", \"metrics\": \"" << json_escape(fmt_metrics(o.result.metrics))
-       << "\"";
+    write_report_columns(os, o, Format::kJournal);
   } else {
     os << ", \"error\": \"" << json_escape(o.error) << "\"";
   }
@@ -321,48 +445,14 @@ bool restore_outcome_line(const std::string& line,
   o.scenario = scenarios[i];
   o.from_journal = true;
   if (status == "ok") {
-    std::int64_t iterations = 0;
-    if (!json_get_int(line, "iterations", iterations) ||
-        !json_get_double(line, "final_objective", o.result.final_objective) ||
-        !json_get_double(line, "final_test_accuracy",
-                         o.result.final_test_accuracy) ||
-        !json_get_double(line, "total_sim_seconds",
-                         o.result.total_sim_seconds) ||
-        !json_get_double(line, "avg_epoch_sim_seconds",
-                         o.result.avg_epoch_sim_seconds) ||
-        !json_get_double(line, "total_comm_sim_seconds",
-                         o.comm_sim_seconds)) {
-      return false;
+    // Every report column is required: the version and the fingerprint
+    // serialization change whenever the column set does, so older
+    // journals are rejected up front.
+    for (const Column& c : columns()) {
+      if ((c.where & kReport) && !c.restore(line, o)) return false;
     }
-    // The async and data-plane columns entered the journal in later
-    // versions; their absence is impossible in practice because the
-    // version and fingerprint serialization changed at the same time
-    // (older journals are rejected up front).
-    std::int64_t peak_bytes = 0, requests = 0, batches = 0;
-    if (!json_get_double(line, "max_wait_seconds", o.max_wait_seconds) ||
-        !json_get_string(line, "rank_wait_seconds", o.rank_waits) ||
-        !json_get_string(line, "staleness_hist", o.staleness_hist) ||
-        !json_get_int(line, "peak_dataset_bytes", peak_bytes) ||
-        !json_get_int(line, "requests", requests) ||
-        !json_get_int(line, "batches", batches) ||
-        !json_get_double(line, "throughput_rps", o.throughput_rps) ||
-        !json_get_double(line, "mean_batch", o.mean_batch) ||
-        !json_get_double(line, "p50_latency_s", o.p50_latency_s) ||
-        !json_get_double(line, "p99_latency_s", o.p99_latency_s) ||
-        !json_get_double(line, "p999_latency_s", o.p999_latency_s)) {
-      return false;
-    }
-    std::string metrics_text;
-    if (!json_get_string(line, "metrics", metrics_text) ||
-        !parse_metrics(metrics_text, o.result.metrics)) {
-      return false;
-    }
-    o.peak_dataset_bytes = static_cast<std::uint64_t>(peak_bytes);
-    o.serve_requests = static_cast<std::uint64_t>(requests);
-    o.serve_batches = static_cast<std::uint64_t>(batches);
     o.ok = true;
     o.result.solver = scenarios[i].solver;
-    o.result.iterations = static_cast<int>(iterations);
   } else if (status == "error") {
     if (!json_get_string(line, "error", o.error)) return false;
     o.ok = false;
@@ -740,48 +830,17 @@ std::size_t SweepReport::failures() const {
 }
 
 std::vector<std::string> SweepReport::csv_rows() const {
-  std::vector<std::string> rows;
-  rows.reserve(outcomes.size() + 1);
-  rows.emplace_back(
-      "scenario,solver,dataset,n_train,n_test,workers,device,network,penalty,"
-      "lambda,straggler,partition,status,iterations,final_objective,"
-      "final_test_accuracy,total_sim_seconds,avg_epoch_sim_seconds,"
-      "total_comm_sim_seconds,max_wait_seconds,rank_wait_seconds,"
-      "staleness_hist,"
-      "peak_dataset_bytes,arrival,batch_policy,requests,batches,"
-      "throughput_rps,mean_batch,p50_latency_s,p99_latency_s,p999_latency_s,"
-      "fault,kill,checkpoint_every,retransmits,gaps_detected,"
-      "messages_dropped,checkpoints,restores");
-  for (const auto& o : outcomes) {
-    const auto& c = o.scenario.config;
-    const auto& r = o.result;
-    const double comm = o.comm_sim_seconds;
-    std::ostringstream row;
-    row << o.scenario.index << ',' << o.scenario.solver << ',' << c.dataset
-        << ',' << c.n_train << ',' << c.n_test << ',' << c.workers << ','
-        << c.device << ',' << c.network << ',' << c.penalty << ','
-        << fmt_double(c.lambda) << ',' << c.straggler << ',' << c.partition
-        << ',' << (o.ok ? "ok" : "error") << ','
-        << (o.ok ? r.iterations : 0) << ','
-        << fmt_double(o.ok ? r.final_objective : 0.0) << ','
-        << fmt_double(o.ok ? r.final_test_accuracy : 0.0) << ','
-        << fmt_double(o.ok ? r.total_sim_seconds : 0.0) << ','
-        << fmt_double(o.ok ? r.avg_epoch_sim_seconds : 0.0) << ','
-        << fmt_double(comm) << ',' << fmt_double(o.max_wait_seconds) << ','
-        << o.rank_waits << ',' << o.staleness_hist << ','
-        << o.peak_dataset_bytes << ','
-        << o.scenario.arrival << ',' << o.scenario.batch << ','
-        << o.serve_requests << ',' << o.serve_batches << ','
-        << fmt_double(o.throughput_rps) << ',' << fmt_double(o.mean_batch)
-        << ',' << fmt_double(o.p50_latency_s) << ','
-        << fmt_double(o.p99_latency_s) << ',' << fmt_double(o.p999_latency_s)
-        << ',' << c.fault << ',' << c.kill << ',' << c.checkpoint_every << ','
-        << (o.ok ? r.metric("retransmits") : 0) << ','
-        << (o.ok ? r.metric("gaps_detected") : 0) << ','
-        << (o.ok ? r.metric("messages_dropped") : 0) << ','
-        << (o.ok ? r.metric("checkpoints") : 0) << ','
-        << (o.ok ? r.metric("restores") : 0);
-    rows.push_back(row.str());
+  std::vector<std::string> rows(outcomes.size() + 1);
+  for (const Column& c : columns()) {
+    if (!(c.where & kCsv)) continue;
+    const bool first = rows[0].empty();
+    rows[0] += (first ? "" : ",") + c.name;
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      const auto& o = outcomes[i];
+      if (!first) rows[i + 1] += ',';
+      rows[i + 1] += o.ok || (c.where & kScenario) ? c.write(o, Format::kCsv)
+                                                   : c.csv_zero;
+    }
   }
   return rows;
 }
@@ -799,8 +858,6 @@ void SweepReport::write_json(const std::string& path) const {
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const auto& o = outcomes[i];
     const auto& c = o.scenario.config;
-    const auto& r = o.result;
-    const double comm = o.comm_sim_seconds;
     out << "  {\"scenario\": " << o.scenario.index                      //
         << ", \"tag\": \"" << json_escape(o.scenario.tag()) << "\""     //
         << ", \"solver\": \"" << json_escape(o.scenario.solver) << "\"" //
@@ -811,7 +868,7 @@ void SweepReport::write_json(const std::string& path) const {
         << ", \"device\": \"" << json_escape(c.device) << "\""          //
         << ", \"network\": \"" << json_escape(c.network) << "\""        //
         << ", \"penalty\": \"" << json_escape(c.penalty) << "\""        //
-        << ", \"lambda\": " << fmt_json_number(c.lambda)                //
+        << ", \"lambda\": " << format_value(c.lambda, Format::kJson)  //
         << ", \"straggler\": \"" << json_escape(c.straggler) << "\""    //
         << ", \"partition\": \"" << json_escape(c.partition) << "\""    //
         << ", \"fault\": \"" << json_escape(c.fault) << "\""            //
@@ -821,28 +878,7 @@ void SweepReport::write_json(const std::string& path) const {
         << ", \"batch_policy\": \"" << json_escape(o.scenario.batch) << "\""
         << ", \"status\": \"" << (o.ok ? "ok" : "error") << "\"";
     if (o.ok) {
-      out << ", \"iterations\": " << r.iterations                        //
-          << ", \"final_objective\": " << fmt_json_number(r.final_objective)
-          << ", \"final_test_accuracy\": "
-          << fmt_json_number(r.final_test_accuracy)                      //
-          << ", \"total_sim_seconds\": "
-          << fmt_json_number(r.total_sim_seconds)                        //
-          << ", \"avg_epoch_sim_seconds\": "
-          << fmt_json_number(r.avg_epoch_sim_seconds)                    //
-          << ", \"total_comm_sim_seconds\": " << fmt_json_number(comm)   //
-          << ", \"max_wait_seconds\": " << fmt_json_number(o.max_wait_seconds)
-          << ", \"rank_wait_seconds\": \"" << json_escape(o.rank_waits) << "\""
-          << ", \"staleness_hist\": \"" << json_escape(o.staleness_hist)
-          << "\", \"peak_dataset_bytes\": " << o.peak_dataset_bytes
-          << ", \"requests\": " << o.serve_requests                      //
-          << ", \"batches\": " << o.serve_batches                        //
-          << ", \"throughput_rps\": " << fmt_json_number(o.throughput_rps)
-          << ", \"mean_batch\": " << fmt_json_number(o.mean_batch)       //
-          << ", \"p50_latency_s\": " << fmt_json_number(o.p50_latency_s)
-          << ", \"p99_latency_s\": " << fmt_json_number(o.p99_latency_s)
-          << ", \"p999_latency_s\": " << fmt_json_number(o.p999_latency_s)
-          << ", \"metrics\": \"" << json_escape(fmt_metrics(r.metrics))
-          << "\"";
+      write_report_columns(out, o, Format::kJson);
     } else {
       out << ", \"error\": \"" << json_escape(o.error) << "\"";
     }
@@ -874,6 +910,11 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
   data::DatasetProvider* provider =
       options.provider ? options.provider : &local_provider;
   const bool use_cache = options.provider != nullptr || options.cache_budget > 0;
+  const auto full_dataset = [&](const data::DatasetKey& key) {
+    return use_cache ? provider->get(key)
+                     : std::make_shared<const data::TrainTest>(
+                           data::generate_dataset(key));
+  };
 
   bool journal_needs_newline = false;
   if (options.resume && !options.journal_path.empty() &&
@@ -972,15 +1013,8 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
       ExperimentConfig train_config = config;
       train_config.device = spec.base.device;
       train_config.network = spec.base.network;
-      const data::DatasetKey dkey = dataset_key(train_config);
-      std::shared_ptr<const data::TrainTest> full;
-      data::TrainTest full_owned;
-      if (use_cache) {
-        full = provider->get(dkey);
-      } else {
-        full_owned = data::generate_dataset(dkey);
-      }
-      const data::TrainTest& tt = use_cache ? *full : full_owned;
+      const auto full = full_dataset(dataset_key(train_config));
+      const data::TrainTest& tt = *full;
       comm::SimCluster cluster = make_cluster(train_config);
       const core::RunResult trained = SolverRegistry::instance().run(
           scenario.solver, cluster,
@@ -1025,15 +1059,8 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
       if (scenario.serving) {
         const auto model = serve_model_for(scenario, config);
         // The request pool is the test split of the scenario's dataset.
-        const data::DatasetKey dkey = dataset_key(config);
-        std::shared_ptr<const data::TrainTest> full;
-        data::TrainTest full_owned;
-        if (use_cache) {
-          full = provider->get(dkey);
-        } else {
-          full_owned = data::generate_dataset(dkey);
-        }
-        const data::TrainTest& tt = use_cache ? *full : full_owned;
+        const auto full = full_dataset(dataset_key(config));
+        const data::TrainTest& tt = *full;
         NADMM_CHECK(!tt.test.empty(),
                     "serving needs a non-empty test split (n_test > 0)");
         serve::ServeConfig sc;
@@ -1073,15 +1100,8 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
       if (info.kind == SolverKind::kSingleNode) {
         // Materialize (streamed shards carry no full matrix) and wrap in
         // a one-part plan to keep the uniform registry signature.
-        std::shared_ptr<const data::TrainTest> full;
-        data::TrainTest full_owned;
-        if (use_cache) {
-          full = provider->get(key);
-        } else {
-          full_owned = data::generate_dataset(key);
-        }
-        const data::TrainTest& tt = use_cache ? *full : full_owned;
-        owned = data::make_sharded(tt.train, &tt.test, data::ShardPlan{});
+        const auto full = full_dataset(key);
+        owned = data::make_sharded(full->train, &full->test, data::ShardPlan{});
       } else if (use_cache) {
         shared = provider->get_sharded(key, shard_plan(config));
       } else {

@@ -14,8 +14,7 @@
 namespace nadmm {
 namespace {
 
-/// Contiguous zero-copy shards sized to the cluster — the explicit form
-/// of what the deprecated (train, test) solver overloads did implicitly.
+/// Contiguous zero-copy shards sized to the cluster.
 nadmm::data::ShardedDataset shards(const nadmm::comm::SimCluster& cluster,
                                    const nadmm::data::Dataset& train,
                                    const nadmm::data::Dataset* test) {

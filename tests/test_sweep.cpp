@@ -9,6 +9,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "runner/sweep.hpp"
 #include "support/check.hpp"
@@ -304,6 +306,35 @@ TEST(SweepRun, CapturesScenarioFailuresWithoutAborting) {
   EXPECT_NE(rows[2].find(",error,"), std::string::npos);
 }
 
+TEST(SweepRun, NonFiniteObjectiveIsAFailedRow) {
+  // λ = 1e300 drives sync-sgd's objective non-finite.
+  const std::pair<const char*, const char*> assignments[] = {
+      {"solvers", "sync-sgd"}, {"datasets", "blobs"}, {"workers", "2"},
+      {"lambdas", "1e300"},    {"n_train", "200"},    {"n_test", "50"},
+      {"iterations", "3"}};
+  SweepSpec spec;
+  for (const auto& [key, value] : assignments) {
+    apply_sweep_assignment(spec, key, value);
+  }
+  const std::string journal =
+      testing::TempDir() + "/nadmm_nonfinite.journal.jsonl";
+  SweepOptions options;
+  options.journal_path = journal;
+  const auto report = run_sweep(spec, options);
+  ASSERT_EQ(report.outcomes.size(), 1u);
+  EXPECT_FALSE(report.outcomes[0].ok);
+  EXPECT_NE(report.outcomes[0].error.find("non-finite"), std::string::npos)
+      << report.outcomes[0].error;
+  EXPECT_NE(report.outcomes[0].error.find("sync-sgd"), std::string::npos);
+  // The row failed after its data was sharded; the CSV still reports the
+  // failed row exactly as a journal restore of it does.
+  options.resume = true;
+  const auto restored = run_sweep(spec, options);
+  EXPECT_EQ(restored.resumed, 1u);
+  EXPECT_EQ(report.csv_rows(), restored.csv_rows());
+  std::filesystem::remove(journal);
+}
+
 TEST(SweepRun, WritesAggregateReportsAndTraces) {
   const std::string dir = testing::TempDir() + "/nadmm_sweep_out";
   std::filesystem::remove_all(dir);
@@ -393,50 +424,94 @@ TEST(SweepJournal, FingerprintTracksEverySpecAxisAndBaseKnob) {
   EXPECT_EQ(spec_fingerprint(base), spec_fingerprint(tiny_spec()));
 }
 
+/// Four serving scenarios: the latency and throughput columns.
+SweepSpec serving_spec() {
+  SweepSpec spec = tiny_spec();
+  spec.mode = "serving";
+  spec.solvers = {"newton-admm"};
+  spec.arrivals = {"poisson:500", "bursty:100:2000:0.5:0.2"};
+  spec.batch_policies = {"immediate", "deadline:8:0.01"};
+  spec.serve_requests = 200;
+  spec.base.iterations = 2;
+  return spec;
+}
+
+/// Four faulty async-admm scenarios: rank waits, the staleness histogram
+/// and the wire counters of the metrics map.
+SweepSpec faulty_async_spec() {
+  SweepSpec spec = tiny_spec();
+  spec.solvers = {"async-admm"};
+  spec.networks = {"eth1"};
+  spec.lambdas = {1e-3};
+  spec.stragglers = {"none", "0:2"};
+  spec.faults = {"drop:0.2", "drop:0.1+dup:0.1"};
+  spec.base.iterations = 2;
+  spec.base.checkpoint_every = 2;
+  return spec;
+}
+
 TEST(SweepJournal, InterruptedThenResumedReportIsByteIdentical) {
   const std::string dir = testing::TempDir() + "/nadmm_journal_resume";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string journal = dir + "/report.csv.journal.jsonl";
-  const SweepSpec spec = tiny_spec();  // 4 scenarios
+  const std::vector<std::pair<std::string, SweepSpec>> grids = {
+      {"train", tiny_spec()},
+      {"serving", serving_spec()},
+      {"faulty-async", faulty_async_spec()}};
+  for (const auto& [name, spec] : grids) {
+    SCOPED_TRACE(name);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string journal = dir + "/report.csv.journal.jsonl";
+    ASSERT_EQ(expand_scenarios(spec).size(), 4u);
 
-  SweepOptions reference;
-  reference.jobs = 2;
-  const auto full = run_sweep(spec, reference);
+    SweepOptions reference;
+    reference.jobs = 2;
+    const auto full = run_sweep(spec, reference);
 
-  SweepOptions interrupted;
-  interrupted.journal_path = journal;
-  interrupted.max_scenarios = 2;
-  const auto partial = run_sweep(spec, interrupted);
-  EXPECT_FALSE(partial.complete());
-  EXPECT_EQ(partial.executed, 2u);
+    SweepOptions interrupted;
+    interrupted.journal_path = journal;
+    interrupted.max_scenarios = 2;
+    const auto partial = run_sweep(spec, interrupted);
+    EXPECT_FALSE(partial.complete());
+    EXPECT_EQ(partial.executed, 2u);
 
-  SweepOptions resumed;
-  resumed.jobs = 4;
-  resumed.journal_path = journal;
-  resumed.resume = true;
-  std::size_t executed_callbacks = 0;
-  resumed.on_scenario_done = [&](const ScenarioOutcome&, std::size_t,
-                                 std::size_t total) {
-    ++executed_callbacks;
-    EXPECT_EQ(total, 2u);  // only the two remaining scenarios run
-  };
-  const auto rest = run_sweep(spec, resumed);
-  EXPECT_TRUE(rest.complete());
-  EXPECT_EQ(rest.resumed, 2u);
-  EXPECT_EQ(rest.executed, 2u);
-  EXPECT_EQ(executed_callbacks, 2u);
-  for (const auto& o : rest.outcomes) EXPECT_TRUE(o.ok);
+    SweepOptions resumed;
+    resumed.jobs = 4;
+    resumed.journal_path = journal;
+    resumed.resume = true;
+    std::size_t executed_callbacks = 0;
+    resumed.on_scenario_done = [&](const ScenarioOutcome&, std::size_t,
+                                   std::size_t total) {
+      ++executed_callbacks;
+      EXPECT_EQ(total, 2u);  // only the two remaining scenarios run
+    };
+    const auto rest = run_sweep(spec, resumed);
+    EXPECT_TRUE(rest.complete());
+    EXPECT_EQ(rest.resumed, 2u);
+    EXPECT_EQ(rest.executed, 2u);
+    EXPECT_EQ(executed_callbacks, 2u);
+    for (const auto& o : rest.outcomes) EXPECT_TRUE(o.ok) << o.error;
+    // The restored rows carry the grid's distinctive columns.
+    const ScenarioOutcome& restored = rest.outcomes[1];
+    EXPECT_TRUE(restored.from_journal);
+    if (name == "serving") {
+      EXPECT_GT(restored.p99_latency_s, 0.0);
+      EXPECT_GT(restored.serve_batches, 0u);
+    } else if (name == "faulty-async") {
+      EXPECT_FALSE(restored.rank_waits.empty());
+      EXPECT_FALSE(restored.staleness_hist.empty());
+      EXPECT_FALSE(restored.result.metrics.empty());
+    }
 
-  EXPECT_EQ(full.csv_rows(), rest.csv_rows());
-  // JSON reports must match byte-for-byte as well.
-  rest.write_json(dir + "/resumed.json");
-  full.write_json(dir + "/full.json");
-  std::ifstream a(dir + "/resumed.json"), b(dir + "/full.json");
-  std::stringstream sa, sb;
-  sa << a.rdbuf();
-  sb << b.rdbuf();
-  EXPECT_EQ(sa.str(), sb.str());
+    EXPECT_EQ(full.csv_rows(), rest.csv_rows());
+    // JSON reports must match byte-for-byte as well.
+    rest.write_json(dir + "/resumed.json");
+    full.write_json(dir + "/full.json");
+    std::ifstream a(dir + "/resumed.json"), b(dir + "/full.json");
+    std::stringstream sa, sb;
+    sa << a.rdbuf();
+    sb << b.rdbuf();
+    EXPECT_EQ(sa.str(), sb.str());
+  }
   std::filesystem::remove_all(dir);
 }
 

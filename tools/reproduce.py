@@ -605,8 +605,9 @@ def build_report(figures, metadata, claims, results, artifacts):
     md.append(
         "- **Figure 2 network.** Strong scaling runs on ib100: at the "
         "committed sample counts the eth10/wan problems are latency-bound "
-        "and epoch time *grows* with worker count (see "
-        "bench/bench_util.hpp), which would invert the paper's figure. "
+        "and epoch time *grows* with worker count (per-round message "
+        "latency outweighs the shrinking per-rank compute), which would "
+        "invert the paper's figure. "
         "Raising --scale moves the crossover back toward slower networks.")
     md.append(
         "- **Figure 1 budget.** InexactDANE/AIDE epochs are ~16× costlier "
