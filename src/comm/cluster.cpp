@@ -257,6 +257,4 @@ void RankCtx::allgather(std::span<const double> in, std::vector<double>& out) {
   c.barrier_.arrive_and_wait();
 }
 
-void RankCtx::charge_all(double seconds) { clock_.add_comm(seconds); }
-
 }  // namespace nadmm::comm

@@ -100,8 +100,6 @@ class RankCtx {
   RankCtx(int rank, int size, SimCluster& cluster, la::DeviceModel device)
       : rank_(rank), size_(size), cluster_(&cluster), clock_(std::move(device)) {}
 
-  void charge_all(double seconds);
-
   int rank_;
   int size_;
   SimCluster* cluster_;

@@ -21,7 +21,6 @@ class Standardizer {
   [[nodiscard]] Dataset transform(const Dataset& ds) const;
 
   [[nodiscard]] bool fitted() const { return fitted_; }
-  [[nodiscard]] const std::vector<double>& shift() const { return shift_; }
   [[nodiscard]] const std::vector<double>& scale() const { return scale_; }
 
  private:

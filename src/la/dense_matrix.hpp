@@ -93,11 +93,6 @@ class DenseView {
     return {data_, rows_ * cols_};
   }
 
-  /// Sub-view of rows [begin, end) of this view.
-  [[nodiscard]] DenseView subrows(std::size_t begin, std::size_t end) const {
-    return {data_ + begin * cols_, end - begin, cols_};
-  }
-
  private:
   const double* data_ = nullptr;
   std::size_t rows_ = 0;

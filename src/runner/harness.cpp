@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "runner/options.hpp"
 #include "runner/registry.hpp"
 #include "support/check.hpp"
 #include "support/csv.hpp"
@@ -59,26 +60,17 @@ std::vector<la::DeviceModel> cluster_devices(const ExperimentConfig& config) {
     devices.push_back(la::device_from_string(
         specs[static_cast<std::size_t>(r) % specs.size()]));
   }
-  if (!config.straggler.empty() && config.straggler != "none") {
-    const auto colon = config.straggler.find(':');
-    NADMM_CHECK(colon != std::string::npos,
-                "straggler spec must be 'none' or '<rank>:<slowdown>', got '" +
+  const auto straggler = config.straggler.empty()
+                             ? std::nullopt
+                             : parse_straggler("straggler", config.straggler);
+  if (straggler) {
+    NADMM_CHECK(straggler->rank < config.workers,
+                "straggler rank must be in [0, workers), got '" +
                     config.straggler + "'");
-    char* end = nullptr;
-    const long rank = std::strtol(config.straggler.c_str(), &end, 10);
-    NADMM_CHECK(end == config.straggler.c_str() + colon && rank >= 0 &&
-                    rank < config.workers,
-                "straggler rank must be an integer in [0, workers), got '" +
-                    config.straggler + "'");
-    const double slowdown =
-        std::strtod(config.straggler.c_str() + colon + 1, &end);
-    NADMM_CHECK(end != nullptr && *end == '\0' && slowdown > 0.0,
-                "straggler slowdown must be a positive number, got '" +
-                    config.straggler + "'");
-    la::DeviceModel& d = devices[static_cast<std::size_t>(rank)];
-    d.gflops /= slowdown;
-    if (d.gbytes_per_s > 0.0) d.gbytes_per_s /= slowdown;
-    d.name += "/x" + config.straggler.substr(colon + 1);
+    la::DeviceModel& d = devices[static_cast<std::size_t>(straggler->rank)];
+    d.gflops /= straggler->slowdown;
+    if (d.gbytes_per_s > 0.0) d.gbytes_per_s /= straggler->slowdown;
+    d.name += "/x" + config.straggler.substr(config.straggler.find(':') + 1);
   }
   return devices;
 }
@@ -132,22 +124,11 @@ solvers::AsyncAdmmOptions async_options(const ExperimentConfig& config,
   o.fault = config.fault.empty() ? "none" : config.fault;
   o.seed = config.seed;
   o.checkpoint_every = config.checkpoint_every;
-  if (!config.kill.empty() && config.kill != "none") {
-    const auto colon = config.kill.find(':');
-    NADMM_CHECK(colon != std::string::npos,
-                "kill spec must be 'none' or '<rank>:<epoch>', got '" +
-                    config.kill + "'");
-    char* end = nullptr;
-    const long rank = std::strtol(config.kill.c_str(), &end, 10);
-    NADMM_CHECK(end == config.kill.c_str() + colon && rank >= 0,
-                "kill rank must be a non-negative integer, got '" +
-                    config.kill + "'");
-    const long epoch = std::strtol(config.kill.c_str() + colon + 1, &end, 10);
-    NADMM_CHECK(end != nullptr && *end == '\0' && epoch >= 1,
-                "kill epoch must be an integer >= 1, got '" + config.kill +
-                    "'");
-    o.kill_rank = static_cast<int>(rank);
-    o.kill_epoch = static_cast<int>(epoch);
+  const auto kill =
+      config.kill.empty() ? std::nullopt : parse_kill("kill", config.kill);
+  if (kill) {
+    o.kill_rank = static_cast<int>(kill->rank);
+    o.kill_epoch = static_cast<int>(kill->epoch);
   }
   return o;
 }

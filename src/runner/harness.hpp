@@ -1,6 +1,6 @@
 // Experiment harness: wires dataset → simulated cluster → solver and
-// emits traces. All bench binaries (one per paper table/figure) and the
-// examples are thin drivers over this header.
+// emits traces. The `nadmm` CLI, the sweep scheduler, the examples and
+// the end-to-end benchmark all build on this header.
 #pragma once
 
 #include <cstdint>
@@ -21,9 +21,12 @@
 
 namespace nadmm::runner {
 
-/// Shared experiment knobs (paper defaults).
+/// Shared experiment knobs (paper defaults). Each member is declared to
+/// the CLI, `.sweep` specs and the sweep fingerprint by one row of
+/// runner::scenario_knobs() (runner/options.hpp), which takes its
+/// default from here.
 struct ExperimentConfig {
-  std::string dataset = "mnist";  ///< higgs|mnist|cifar|e18|blobs|libsvm:<path>
+  std::string dataset = "blobs";  ///< higgs|mnist|cifar|e18|blobs|libsvm:<path>
   std::size_t n_train = 8'000;
   std::size_t n_test = 2'000;
   std::size_t e18_features = 1'400;  ///< scaled-down E18 dimension

@@ -91,42 +91,6 @@ int cmd_list(int argc, const char* const* argv) {
   return 0;
 }
 
-runner::ExperimentConfig config_from_cli(const CliParser& cli) {
-  runner::ExperimentConfig c;
-  c.dataset = cli.get_string("dataset");
-  c.n_train = static_cast<std::size_t>(cli.get_int("n-train"));
-  c.n_test = static_cast<std::size_t>(cli.get_int("n-test"));
-  c.e18_features = static_cast<std::size_t>(cli.get_int("e18-features"));
-  c.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  c.workers = static_cast<int>(cli.get_int("workers"));
-  c.device = cli.get_string("devices").empty() ? cli.get_string("device")
-                                               : cli.get_string("devices");
-  c.network = cli.get_string("network");
-  c.penalty = cli.get_string("penalty");
-  c.lambda = cli.get_double("lambda");
-  c.rho0 = cli.get_double("rho0");
-  c.straggler = cli.get_string("straggler");
-  c.partition = cli.get_string("partition");
-  c.iterations = static_cast<int>(cli.get_int("iterations"));
-  c.cg_iterations = static_cast<int>(cli.get_int("cg-iterations"));
-  c.cg_tol = cli.get_double("cg-tol");
-  c.line_search_iterations = static_cast<int>(cli.get_int("line-search"));
-  c.objective_target = cli.get_double("objective-target");
-  c.staleness = static_cast<int>(cli.get_int("staleness"));
-  c.sync_every = static_cast<int>(cli.get_int("sync-every"));
-  c.fault = cli.get_string("fault");
-  c.kill = cli.get_string("kill");
-  c.checkpoint_every = static_cast<int>(cli.get_int("checkpoint-every"));
-  c.sgd_batch = static_cast<std::size_t>(cli.get_int("sgd-batch"));
-  c.sgd_step = cli.get_double("sgd-step");
-  c.dane_epochs = static_cast<int>(cli.get_int("dane-epochs"));
-  c.svrg_outer = static_cast<int>(cli.get_int("svrg-outer"));
-  c.fo_step = cli.get_double("fo-step");
-  c.gradient_tol = cli.get_double("gradient-tol");
-  c.omp_threads = static_cast<int>(cli.get_int("omp-threads"));
-  return c;
-}
-
 int cmd_run(int argc, const char* const* argv) {
   CliParser cli("nadmm run — execute one scenario and print its trace");
   runner::OptionSet opts;
@@ -146,7 +110,7 @@ int cmd_run(int argc, const char* const* argv) {
   opts.validate(cli);
 
   const std::string solver = cli.get_string("solver");
-  const auto config = config_from_cli(cli);
+  const auto config = runner::config_from_cli(opts, cli);
   const auto& info = runner::SolverRegistry::instance().info(solver);
 
   const auto tt = runner::make_data(config);
@@ -234,13 +198,7 @@ int cmd_serve(int argc, const char* const* argv) {
               "--save-model=model.txt`)");
 
   const auto model = serve::load_model(cli.get_string("model"));
-  runner::ExperimentConfig data_config;
-  data_config.dataset = cli.get_string("dataset");
-  data_config.n_train = static_cast<std::size_t>(cli.get_int("n-train"));
-  data_config.n_test = static_cast<std::size_t>(cli.get_int("n-test"));
-  data_config.e18_features =
-      static_cast<std::size_t>(cli.get_int("e18-features"));
-  data_config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto data_config = runner::config_from_cli(opts, cli);
   const auto tt = runner::make_data(data_config);
   NADMM_CHECK(!tt.test.empty(),
               "serving needs a non-empty test split (--n-test > 0)");
@@ -249,11 +207,11 @@ int cmd_serve(int argc, const char* const* argv) {
   config.arrival = cli.get_string("arrival");
   config.batch = cli.get_string("batch");
   config.requests = static_cast<std::size_t>(cli.get_int("requests"));
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.device = cli.get_string("device");
-  config.network = cli.get_string("network");
+  config.seed = data_config.seed;
+  config.device = data_config.device;
+  config.network = data_config.network;
   config.dispatch_overhead_s = cli.get_double("dispatch-overhead");
-  config.omp_threads = static_cast<int>(cli.get_int("omp-threads"));
+  config.omp_threads = data_config.omp_threads;
 
   std::printf("serving: model=%s (%s via %s) pool=%s rows=%zu p=%zu "
               "device=%s network=%s\n",
@@ -300,82 +258,14 @@ int cmd_serve(int argc, const char* const* argv) {
 int cmd_sweep(int argc, const char* const* argv) {
   CliParser cli(
       "nadmm sweep — expand a scenario grid and run it on a worker pool.\n"
-      "Grid axes take comma-separated lists; --spec FILE loads `key = value`\n"
-      "lines first and inline flags override it. `--mode serving` swaps the\n"
-      "train axes for arrival × batch-policy serving scenarios.");
+      "--spec FILE loads `key = value` lines first; every spec key is also a\n"
+      "flag (`_` becomes `-`) that overrides the file, and an empty flag\n"
+      "keeps the file's value. Grid axes take comma-separated lists;\n"
+      "`--mode serving` swaps the train axes for arrival × batch-policy\n"
+      "serving scenarios.");
   runner::OptionSet opts;
   opts.add_string("spec", "", "sweep spec file (key = value lines)");
-  opts.add_string("mode", "", "grid mode: train|serving (default: train)",
-                  [](const std::string& flag, const std::string& value) {
-                    if (!value.empty() && value != "train" &&
-                        value != "serving") {
-                      throw InvalidArgument("--" + flag +
-                                            ": invalid value '" + value +
-                                            "' (expected train|serving)");
-                    }
-                  });
-  opts.add_string("solvers", "", "e.g. newton-admm,giant,sync-sgd",
-                  runner::v_each(',', runner::v_solver()));
-  opts.add_string("datasets", "", "e.g. blobs,higgs",
-                  runner::v_each(',', runner::v_dataset()));
-  opts.add_string("workers", "", "e.g. 4,8,16",
-                  runner::v_each(',', runner::v_int_min(1)));
-  opts.add_string("devices", "", "e.g. p100,cpu", runner::v_device_list());
-  opts.add_string("networks", "", "e.g. ib100,eth10",
-                  runner::v_each(',', runner::v_network()));
-  opts.add_string("penalties", "", "e.g. sps,fixed",
-                  runner::v_each(',', runner::v_one_of({"fixed", "rb",
-                                                        "sps"})));
-  opts.add_string("lambdas", "", "e.g. 1e-5,1e-4");
-  opts.add_string("stragglers", "", "e.g. none,1:4",
-                  runner::v_each(',', runner::v_straggler()));
-  opts.add_string("partitions", "", "e.g. contiguous,strided,weighted",
-                  runner::v_each(',', runner::v_partition()));
-  opts.add_string("faults", "",
-                  "e.g. none,drop:0.05,drop:0.1+dup:0.02 ('+' joins "
-                  "clauses within one entry)",
-                  runner::v_each(',', runner::v_fault()));
-  opts.add_string("kill", "",
-                  "kill/rejoin spec applied to every scenario: <rank>:<epoch> "
-                  "(empty: keep spec/default)",
-                  [](const std::string& flag, const std::string& value) {
-                    if (!value.empty()) runner::v_kill()(flag, value);
-                  });
-  opts.add_int("checkpoint-every", -1,
-               "coordinator checkpoint period in applied updates (-1: keep)");
-  opts.add_string("arrivals", "",
-                  "serving-mode arrival axis, e.g. poisson:1000,bursty",
-                  runner::v_each(',', runner::v_arrival()));
-  opts.add_string("batch-policies", "",
-                  "serving-mode batch axis, e.g. immediate,deadline:16:0.005",
-                  runner::v_each(',', runner::v_batch_policy()));
-  opts.add_int("serve-requests", -1, "serving requests per scenario (-1: keep)");
-  opts.add_string("serve-model", "",
-                  "serve a pre-trained model file instead of training");
-  opts.add_double("dispatch-overhead", -1.0,
-                  "serving per-dispatch cost in seconds (-1: keep)");
-  opts.add_double("scale", -1.0,
-                  "paper-scale multiplier for n-train/n-test (-1: keep; "
-                  "each scale keeps its own resume journal)");
-  opts.add_string("weak-scaling", "",
-                  "true|false: n-train is the per-worker shard (empty: keep)",
-                  [](const std::string& flag, const std::string& value) {
-                    if (!value.empty() && value != "true" &&
-                        value != "false") {
-                      throw InvalidArgument("--" + flag +
-                                            ": invalid value '" + value +
-                                            "' (expected true|false)");
-                    }
-                  });
-  opts.add_int("n-train", -1, "training samples (-1: keep spec/default)");
-  opts.add_int("n-test", -1, "test samples (-1: keep spec/default)");
-  opts.add_int("e18-features", -1, "e18/blobs feature dim (-1: keep)");
-  opts.add_int("seed", -1, "generator seed (-1: keep)");
-  opts.add_int("iterations", -1, "outer iterations (-1: keep)");
-  opts.add_int("staleness", -1, "async-admm staleness bound (-1: keep)");
-  opts.add_int("sync-every", -1, "stale-sync barrier period (-1: keep)");
-  opts.add_double("objective-target", -1.0,
-                  "early-stop objective target (-1: keep)");
+  opts.extend(runner::sweep_override_options());
   opts.add_int("jobs", 1, "concurrent scenarios", runner::v_int_min(1));
   opts.add_string("out", "sweep.csv", "aggregated CSV report path");
   opts.add_string("json", "", "if set, also write a JSON report here");
@@ -399,70 +289,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   runner::SweepSpec spec;
   const std::string spec_path = cli.get_string("spec");
   if (!spec_path.empty()) spec = runner::parse_sweep_file(spec_path);
-
-  if (!cli.get_string("mode").empty()) {
-    runner::apply_sweep_assignment(spec, "mode", cli.get_string("mode"));
-  }
-  struct AxisFlag {
-    const char* flag;
-    const char* key;
-  };
-  for (const auto& [flag, key] :
-       {AxisFlag{"solvers", "solvers"}, AxisFlag{"datasets", "datasets"},
-        AxisFlag{"workers", "workers"}, AxisFlag{"devices", "devices"},
-        AxisFlag{"networks", "networks"},
-        AxisFlag{"penalties", "penalties"}, AxisFlag{"lambdas", "lambdas"},
-        AxisFlag{"stragglers", "stragglers"},
-        AxisFlag{"partitions", "partitions"},
-        AxisFlag{"arrivals", "arrivals"},
-        AxisFlag{"batch-policies", "batch_policies"},
-        AxisFlag{"serve-model", "serve_model"},
-        AxisFlag{"faults", "faults"}}) {
-    const std::string value = cli.get_string(flag);
-    if (!value.empty()) runner::apply_sweep_assignment(spec, key, value);
-  }
-  struct ScalarFlag {
-    const char* flag;
-    const char* key;
-  };
-  for (const auto& [flag, key] :
-       {ScalarFlag{"n-train", "n_train"}, ScalarFlag{"n-test", "n_test"},
-        ScalarFlag{"e18-features", "e18_features"}, ScalarFlag{"seed", "seed"},
-        ScalarFlag{"iterations", "iterations"},
-        ScalarFlag{"staleness", "staleness"},
-        ScalarFlag{"sync-every", "sync_every"},
-        ScalarFlag{"serve-requests", "serve_requests"}}) {
-    const std::int64_t value = cli.get_int(flag);
-    if (value >= 0) {
-      runner::apply_sweep_assignment(spec, key, std::to_string(value));
-    }
-  }
-  if (!cli.get_string("kill").empty()) {
-    runner::apply_sweep_assignment(spec, "kill", cli.get_string("kill"));
-  }
-  if (cli.get_int("checkpoint-every") >= 0) {
-    runner::apply_sweep_assignment(
-        spec, "checkpoint_every",
-        std::to_string(cli.get_int("checkpoint-every")));
-  }
-  if (cli.get_double("scale") > 0.0) {
-    runner::apply_sweep_assignment(spec, "scale",
-                                   std::to_string(cli.get_double("scale")));
-  }
-  if (!cli.get_string("weak-scaling").empty()) {
-    runner::apply_sweep_assignment(spec, "weak_scaling",
-                                   cli.get_string("weak-scaling"));
-  }
-  if (cli.get_double("objective-target") >= 0.0) {
-    runner::apply_sweep_assignment(
-        spec, "objective_target",
-        std::to_string(cli.get_double("objective-target")));
-  }
-  if (cli.get_double("dispatch-overhead") >= 0.0) {
-    runner::apply_sweep_assignment(
-        spec, "dispatch_overhead",
-        std::to_string(cli.get_double("dispatch-overhead")));
-  }
+  runner::apply_sweep_overrides(spec, cli);
 
   const std::string out = cli.get_string("out");
   runner::SweepOptions options;
@@ -471,8 +298,8 @@ int cmd_sweep(int argc, const char* const* argv) {
   options.trace_event_dir = cli.get_string("trace-out");
   options.journal_path = out + ".journal.jsonl";
   options.resume = cli.get_flag("resume");
-  options.cache_budget =
-      runner::parse_byte_size("cache-budget", cli.get_string("cache-budget"));
+  options.cache_budget = runner::parse_byte_size(
+      "--cache-budget", cli.get_string("cache-budget"));
   options.max_scenarios =
       static_cast<std::size_t>(std::max<std::int64_t>(0, cli.get_int("limit")));
   const bool quiet = cli.get_flag("quiet");

@@ -3,11 +3,16 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
+#include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "comm/fault.hpp"
 #include "comm/network_model.hpp"
 #include "la/device.hpp"
+#include "runner/harness.hpp"
 #include "runner/registry.hpp"
 #include "serve/arrival.hpp"
 #include "serve/batching.hpp"
@@ -23,35 +28,35 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-[[noreturn]] void reject(const std::string& flag, const std::string& value,
+[[noreturn]] void reject(const std::string& name, const std::string& value,
                          const std::string& why) {
-  throw InvalidArgument("--" + flag + ": invalid value '" + value + "' (" +
-                        why + ")");
+  throw InvalidArgument(name + ": invalid value '" + value + "' (" + why +
+                        ")");
 }
 
-std::int64_t parse_int(const std::string& flag, const std::string& value) {
+std::int64_t parse_int(const std::string& name, const std::string& value) {
   try {
     std::size_t pos = 0;
     const std::int64_t v = std::stoll(value, &pos);
-    if (pos != value.size()) reject(flag, value, "expected an integer");
+    if (pos != value.size()) reject(name, value, "expected an integer");
     return v;
   } catch (const InvalidArgument&) {
     throw;
   } catch (const std::exception&) {
-    reject(flag, value, "expected an integer");
+    reject(name, value, "expected an integer");
   }
 }
 
-double parse_double(const std::string& flag, const std::string& value) {
+double parse_double(const std::string& name, const std::string& value) {
   try {
     std::size_t pos = 0;
     const double v = std::stod(value, &pos);
-    if (pos != value.size()) reject(flag, value, "expected a number");
+    if (pos != value.size()) reject(name, value, "expected a number");
     return v;
   } catch (const InvalidArgument&) {
     throw;
   } catch (const std::exception&) {
-    reject(flag, value, "expected a number");
+    reject(name, value, "expected a number");
   }
 }
 
@@ -60,6 +65,33 @@ std::string trim(const std::string& s) {
   if (b == std::string::npos) return "";
   const auto e = s.find_last_not_of(" \t");
   return s.substr(b, e - b + 1);
+}
+
+/// Accepts the values `parse` accepts; its error is the reason given.
+template <class Parse>
+OptionValidator v_parses(Parse parse) {
+  return [parse](const std::string& name, const std::string& value) {
+    try {
+      static_cast<void>(parse(value));
+    } catch (const std::exception& e) {
+      reject(name, value, e.what());
+    }
+  };
+}
+
+/// The rank and the value text of a "<rank>:<value>" spec; nullopt for
+/// "none".
+std::optional<std::pair<std::int64_t, std::string>> split_rank_spec(
+    const std::string& name, const std::string& spec,
+    const std::string& value_name) {
+  if (spec == "none") return std::nullopt;
+  const auto colon = spec.find(':');
+  if (colon == std::string::npos) {
+    reject(name, spec, "expected none or <rank>:<" + value_name + ">");
+  }
+  const std::int64_t rank = parse_int(name, spec.substr(0, colon));
+  if (rank < 0) reject(name, spec, "rank must be >= 0");
+  return std::make_pair(rank, spec.substr(colon + 1));
 }
 
 }  // namespace
@@ -117,13 +149,13 @@ OptionSet& OptionSet::extend(const OptionSet& other) {
 
 void OptionSet::register_into(CliParser& cli) const {
   for (const auto& spec : specs_) {
+    const std::string flag = "--" + spec.name;
     switch (spec.type) {
       case OptType::kInt:
-        cli.add_int(spec.name, parse_int(spec.name, spec.default_value),
-                    spec.help);
+        cli.add_int(spec.name, parse_int(flag, spec.default_value), spec.help);
         break;
       case OptType::kDouble:
-        cli.add_double(spec.name, parse_double(spec.name, spec.default_value),
+        cli.add_double(spec.name, parse_double(flag, spec.default_value),
                        spec.help);
         break;
       case OptType::kString:
@@ -154,7 +186,7 @@ void OptionSet::validate(const CliParser& cli) const {
         value = cli.get_flag(spec.name) ? "true" : "false";
         break;
     }
-    spec.validator(spec.name, value);
+    spec.validator("--" + spec.name, value);
   }
 }
 
@@ -170,18 +202,18 @@ const OptionSpec* OptionSet::find(const std::string& name) const {
 // ---------------------------------------------------------------------------
 
 OptionValidator v_int_min(std::int64_t min) {
-  return [min](const std::string& flag, const std::string& value) {
-    if (parse_int(flag, value) < min) {
-      reject(flag, value, "must be >= " + std::to_string(min));
+  return [min](const std::string& name, const std::string& value) {
+    if (parse_int(name, value) < min) {
+      reject(name, value, "must be >= " + std::to_string(min));
     }
   };
 }
 
 OptionValidator v_double_min(double min, bool inclusive) {
-  return [min, inclusive](const std::string& flag, const std::string& value) {
-    const double v = parse_double(flag, value);
+  return [min, inclusive](const std::string& name, const std::string& value) {
+    const double v = parse_double(name, value);
     if (inclusive ? v < min : v <= min) {
-      reject(flag, value,
+      reject(name, value,
              std::string("must be ") + (inclusive ? ">= " : "> ") +
                  fmt_double(min));
     }
@@ -195,47 +227,29 @@ OptionValidator v_one_of(std::vector<std::string> allowed) {
     expected += a;
   }
   return [allowed = std::move(allowed), expected = std::move(expected)](
-             const std::string& flag, const std::string& value) {
+             const std::string& name, const std::string& value) {
     if (std::find(allowed.begin(), allowed.end(), value) == allowed.end()) {
-      reject(flag, value, "expected " + expected);
-    }
-  };
-}
-
-OptionValidator v_each(char sep, OptionValidator inner) {
-  return [sep, inner = std::move(inner)](const std::string& flag,
-                                         const std::string& value) {
-    if (value.empty()) return;
-    std::size_t begin = 0;
-    while (begin <= value.size()) {
-      const auto end = value.find(sep, begin);
-      const std::string token =
-          trim(value.substr(begin, end == std::string::npos ? std::string::npos
-                                                            : end - begin));
-      if (token.empty()) reject(flag, value, "empty list element");
-      inner(flag, token);
-      if (end == std::string::npos) break;
-      begin = end + 1;
+      reject(name, value, "expected " + expected);
     }
   };
 }
 
 OptionValidator v_dataset() {
-  return [](const std::string& flag, const std::string& value) {
+  return [](const std::string& name, const std::string& value) {
     static const std::vector<std::string> kNamed = {"higgs", "mnist", "cifar",
                                                     "e18", "blobs"};
     if (value.rfind("libsvm:", 0) == 0) {
-      if (value.size() == 7) reject(flag, value, "libsvm: needs a path");
+      if (value.size() == 7) reject(name, value, "libsvm: needs a path");
       return;
     }
     if (std::find(kNamed.begin(), kNamed.end(), value) == kNamed.end()) {
-      reject(flag, value, "expected higgs|mnist|cifar|e18|blobs|libsvm:<path>");
+      reject(name, value, "expected higgs|mnist|cifar|e18|blobs|libsvm:<path>");
     }
   };
 }
 
 OptionValidator v_device_list() {
-  return [](const std::string& flag, const std::string& value) {
+  return [](const std::string& name, const std::string& value) {
     if (value.empty()) return;  // unset alias
     std::size_t begin = 0;
     while (begin <= value.size()) {
@@ -243,11 +257,11 @@ OptionValidator v_device_list() {
       const std::string token =
           trim(value.substr(begin, end == std::string::npos ? std::string::npos
                                                             : end - begin));
-      if (token.empty()) reject(flag, value, "empty device entry");
+      if (token.empty()) reject(name, value, "empty device entry");
       try {
         static_cast<void>(la::device_from_string(token));
       } catch (const std::exception& e) {
-        reject(flag, value, e.what());
+        reject(name, value, e.what());
       }
       if (end == std::string::npos) break;
       begin = end + 1;
@@ -255,27 +269,11 @@ OptionValidator v_device_list() {
   };
 }
 
-OptionValidator v_network() {
-  return [](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(comm::network_from_string(value));
-    } catch (const std::exception& e) {
-      reject(flag, value, e.what());
-    }
-  };
-}
+OptionValidator v_network() { return v_parses(comm::network_from_string); }
 
 OptionValidator v_straggler() {
-  return [](const std::string& flag, const std::string& value) {
-    if (value == "none") return;
-    const auto colon = value.find(':');
-    if (colon == std::string::npos) {
-      reject(flag, value, "expected none or <rank>:<slowdown>");
-    }
-    const std::int64_t rank = parse_int(flag, value.substr(0, colon));
-    const double slowdown = parse_double(flag, value.substr(colon + 1));
-    if (rank < 0) reject(flag, value, "rank must be >= 0");
-    if (slowdown < 1.0) reject(flag, value, "slowdown must be >= 1");
+  return [](const std::string& name, const std::string& value) {
+    static_cast<void>(parse_straggler(name, value));
   };
 }
 
@@ -283,72 +281,54 @@ OptionValidator v_partition() {
   return v_one_of({"contiguous", "strided", "weighted"});
 }
 
-OptionValidator v_fault() {
-  return [](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(comm::FaultSpec::parse(value));
-    } catch (const std::exception& e) {
-      reject(flag, value, e.what());
-    }
-  };
-}
+OptionValidator v_fault() { return v_parses(comm::FaultSpec::parse); }
 
 OptionValidator v_kill() {
-  return [](const std::string& flag, const std::string& value) {
-    if (value == "none") return;
-    const auto colon = value.find(':');
-    if (colon == std::string::npos) {
-      reject(flag, value, "expected none or <rank>:<epoch>");
-    }
-    const std::int64_t rank = parse_int(flag, value.substr(0, colon));
-    const std::int64_t epoch = parse_int(flag, value.substr(colon + 1));
-    if (rank < 0) reject(flag, value, "rank must be >= 0");
-    if (epoch < 1) reject(flag, value, "epoch must be >= 1");
+  return [](const std::string& name, const std::string& value) {
+    static_cast<void>(parse_kill(name, value));
   };
 }
 
 OptionValidator v_solver() {
-  return [](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(SolverRegistry::instance().info(value));
-    } catch (const std::exception& e) {
-      reject(flag, value, e.what());
-    }
-  };
+  return v_parses([](const std::string& value) -> const SolverInfo& {
+    return SolverRegistry::instance().info(value);
+  });
 }
 
-OptionValidator v_arrival() {
-  return [](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(serve::make_arrival(value));
-    } catch (const std::exception& e) {
-      reject(flag, value, e.what());
-    }
-  };
-}
+OptionValidator v_arrival() { return v_parses(serve::make_arrival); }
 
-OptionValidator v_batch_policy() {
-  return [](const std::string& flag, const std::string& value) {
-    try {
-      static_cast<void>(serve::make_batch_policy(value));
-    } catch (const std::exception& e) {
-      reject(flag, value, e.what());
-    }
-  };
-}
+OptionValidator v_batch_policy() { return v_parses(serve::make_batch_policy); }
 
 OptionValidator v_byte_size() {
-  return [](const std::string& flag, const std::string& value) {
-    static_cast<void>(parse_byte_size(flag, value));
+  return [](const std::string& name, const std::string& value) {
+    static_cast<void>(parse_byte_size(name, value));
   };
 }
 
-std::size_t parse_byte_size(const std::string& flag,
+std::optional<StragglerSpec> parse_straggler(const std::string& name,
+                                             const std::string& spec) {
+  const auto parts = split_rank_spec(name, spec, "slowdown");
+  if (!parts) return std::nullopt;
+  const StragglerSpec out{parts->first, parse_double(name, parts->second)};
+  if (out.slowdown < 1.0) reject(name, spec, "slowdown must be >= 1");
+  return out;
+}
+
+std::optional<KillSpec> parse_kill(const std::string& name,
+                                   const std::string& spec) {
+  const auto parts = split_rank_spec(name, spec, "epoch");
+  if (!parts) return std::nullopt;
+  const KillSpec out{parts->first, parse_int(name, parts->second)};
+  if (out.epoch < 1) reject(name, spec, "epoch must be >= 1");
+  return out;
+}
+
+std::size_t parse_byte_size(const std::string& name,
                             const std::string& value) {
-  if (value.empty()) reject(flag, value, "must not be empty");
+  if (value.empty()) reject(name, value, "must not be empty");
   // stoull would silently wrap "-1" to 2^64−1.
   if (value.find('-') != std::string::npos) {
-    reject(flag, value, "must be non-negative");
+    reject(name, value, "must be non-negative");
   }
   std::size_t multiplier = 1;
   std::string digits = value;
@@ -365,84 +345,178 @@ std::size_t parse_byte_size(const std::string& flag,
     NADMM_CHECK(v <= SIZE_MAX / multiplier, "size overflows");
     return v * multiplier;
   } catch (const std::exception&) {
-    reject(flag, value, "expected bytes with optional k/m/g suffix");
+    reject(name, value, "expected bytes with optional k/m/g suffix");
   }
 }
 
 // ---------------------------------------------------------------------------
-// Shared option tables.
+// The knob table and the shared option tables.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// `v` as text; doubles as printf("%.<precision>g") would write them.
+template <class T>
+std::string to_text(const T& v, int precision) {
+  std::ostringstream os;
+  os.precision(precision);
+  os << v;
+  return os.str();
+}
+
+constexpr bool kSpec = true;  // the fingerprint key is also a `.sweep` key
+
+/// The row for `member`, set by run flag `flag` ("" for none) and
+/// written into the fingerprint as `key` at `slot` ("" and -1 for none).
+template <class T>
+Knob knob(std::string flag, T ExperimentConfig::*member, std::string help,
+          OptionValidator validator = {}, std::string key = "", int slot = -1,
+          bool in_spec = false) {
+  const OptType type = std::is_same_v<T, std::string> ? OptType::kString
+                       : std::is_same_v<T, double>    ? OptType::kDouble
+                                                      : OptType::kInt;
+  const auto set = [member](ExperimentConfig& config, const std::string& name,
+                            const std::string& text) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      config.*member = text;
+    } else if constexpr (std::is_same_v<T, double>) {
+      config.*member = parse_double(name, text);
+    } else {
+      config.*member = static_cast<T>(parse_int(name, text));
+    }
+  };
+  const auto get = [member](const ExperimentConfig& config) {
+    return to_text(config.*member, 17);
+  };
+  return {{std::move(flag), type, to_text(ExperimentConfig{}.*member, 6),
+           std::move(help), std::move(validator)},
+          std::move(key), in_spec, slot, set, get};
+}
+
+/// `k` as a second flag for a member another row sets: empty by default,
+/// so the other flag decides unless this one is given.
+Knob alias(Knob k) {
+  k.flag.default_value.clear();
+  return k;
+}
+
+/// The value `cli` parsed for `spec`, doubles exact.
+std::string cli_text(const CliParser& cli, const OptionSpec& spec) {
+  switch (spec.type) {
+    case OptType::kInt: return std::to_string(cli.get_int(spec.name));
+    case OptType::kDouble: return to_text(cli.get_double(spec.name), 17);
+    default: return cli.get_string(spec.name);
+  }
+}
+
+}  // namespace
+
+const std::vector<Knob>& scenario_knobs() {
+  using C = ExperimentConfig;
+  static const std::vector<Knob> knobs = {
+      knob("dataset", &C::dataset, "higgs|mnist|cifar|e18|blobs|libsvm:<path>",
+           v_dataset()),
+      knob("n-train", &C::n_train, "training samples", v_int_min(1), "n_train",
+           0, kSpec),
+      knob("n-test", &C::n_test, "test samples", v_int_min(0), "n_test", 1,
+           kSpec),
+      knob("e18-features", &C::e18_features, "feature dim for e18/blobs",
+           v_int_min(1), "e18_features", 2, kSpec),
+      knob("seed", &C::seed, "dataset generator seed", v_int_min(0), "seed", 3,
+           kSpec),
+      knob("workers", &C::workers, "simulated cluster size", v_int_min(1)),
+      knob("device", &C::device,
+           "device model (p100|cpu|<gflops>[:<gbytes_per_s>]); a "
+           "','/'+'-separated list rates ranks individually",
+           v_device_list()),
+      alias(knob("devices", &C::device,
+                 "per-rank device list (alias for --device, matching the "
+                 "sweep axis name)",
+                 v_device_list())),
+      knob("network", &C::network, "network model (ib100|eth10|eth1|wan|ideal)",
+           v_network()),
+      knob("penalty", &C::penalty, "ADMM penalty rule (fixed|rb|sps)",
+           v_one_of({"fixed", "rb", "sps"})),
+      knob("lambda", &C::lambda, "l2 regularization", v_double_min(0.0)),
+      knob("rho0", &C::rho0, "initial ADMM penalty rho_0",
+           v_double_min(0.0, /*inclusive=*/false), "rho0", 4),
+      knob("straggler", &C::straggler,
+           "inject a straggler: <rank>:<slowdown> (none disables)",
+           v_straggler()),
+      knob("partition", &C::partition,
+           "shard plan across ranks: contiguous|strided|weighted "
+           "(weighted sizes shards by per-rank device gflops)",
+           v_partition()),
+      knob("iterations", &C::iterations, "outer iterations (epochs)",
+           v_int_min(1), "iterations", 5, kSpec),
+      knob("cg-iterations", &C::cg_iterations, "CG budget per Newton step",
+           v_int_min(1), "cg_iterations", 6, kSpec),
+      knob("cg-tol", &C::cg_tol, "CG relative tolerance",
+           v_double_min(0.0, /*inclusive=*/false), "cg_tol", 7, kSpec),
+      knob("line-search", &C::line_search_iterations,
+           "line-search iteration budget", v_int_min(1),
+           "line_search_iterations", 8, kSpec),
+      knob("", &C::local_newton_steps, "", {}, "local_newton_steps", 9),
+      knob("objective-target", &C::objective_target,
+           "stop once F(z) <= target (<= 0 disables)", {}, "objective_target",
+           10, kSpec),
+      knob("", &C::evaluate_accuracy, "", {}, "evaluate_accuracy", 11),
+      knob("staleness", &C::staleness, "async-admm bounded-staleness (rounds)",
+           v_int_min(1), "staleness", 19, kSpec),
+      knob("sync-every", &C::sync_every,
+           "stale-sync-admm barrier period (rounds)", v_int_min(1),
+           "sync_every", 20, kSpec),
+      knob("fault", &C::fault,
+           "async-engine link faults: none or "
+           "drop:<p>[,dup:<p>][,reorder:<p>][,corrupt:<p>]",
+           v_fault()),
+      knob("kill", &C::kill,
+           "kill a rank after an epoch and rejoin it from the last "
+           "checkpoint: <rank>:<epoch> (none disables; needs "
+           "--checkpoint-every > 0)",
+           v_kill(), "kill", 21, kSpec),
+      knob("checkpoint-every", &C::checkpoint_every,
+           "coordinator checkpoint period in applied updates (0 = off)",
+           v_int_min(0), "checkpoint_every", 22, kSpec),
+      knob("sgd-batch", &C::sgd_batch, "sync-sgd minibatch size", v_int_min(1),
+           "sgd_batch", 12),
+      knob("sgd-step", &C::sgd_step, "sync-sgd step size",
+           v_double_min(0.0, /*inclusive=*/false), "sgd_step", 13),
+      knob("dane-epochs", &C::dane_epochs, "InexactDANE/AIDE epoch cap",
+           v_int_min(1), "dane_epochs", 14),
+      knob("svrg-outer", &C::svrg_outer, "DANE inner SVRG budget",
+           v_int_min(1), "svrg_outer", 15),
+      knob("fo-step", &C::fo_step,
+           "single-node first-order step size (0 = rule default)",
+           v_double_min(0.0), "fo_step", 16),
+      knob("gradient-tol", &C::gradient_tol,
+           "single-node gradient-norm stop (< 0 = solver default)", {},
+           "gradient_tol", 17),
+      knob("omp-threads", &C::omp_threads, "OpenMP threads per rank (0 = auto)",
+           v_int_min(0), "omp_threads", 18),
+  };
+  return knobs;
+}
 
 const OptionSet& scenario_options() {
   static const OptionSet specs = [] {
     OptionSet s;
-    s.add_string("dataset", "blobs",
-                 "higgs|mnist|cifar|e18|blobs|libsvm:<path>", v_dataset());
-    s.add_int("n-train", 8000, "training samples", v_int_min(1));
-    s.add_int("n-test", 2000, "test samples", v_int_min(0));
-    s.add_int("e18-features", 1400, "feature dim for e18/blobs", v_int_min(1));
-    s.add_int("seed", 42, "dataset generator seed", v_int_min(0));
-    s.add_int("workers", 8, "simulated cluster size", v_int_min(1));
-    s.add_string("device", "p100",
-                 "device model (p100|cpu|<gflops>[:<gbytes_per_s>]); a "
-                 "','/'+'-separated list rates ranks individually",
-                 v_device_list());
-    s.add_string("devices", "",
-                 "per-rank device list (alias for --device, matching the "
-                 "sweep axis name)",
-                 v_device_list());
-    s.add_string("network", "ib100",
-                 "network model (ib100|eth10|eth1|wan|ideal)", v_network());
-    s.add_string("penalty", "sps", "ADMM penalty rule (fixed|rb|sps)",
-                 v_one_of({"fixed", "rb", "sps"}));
-    s.add_double("lambda", 1e-5, "l2 regularization", v_double_min(0.0));
-    s.add_double("rho0", 1.0, "initial ADMM penalty rho_0",
-                 v_double_min(0.0, /*inclusive=*/false));
-    s.add_string("straggler", "none",
-                 "inject a straggler: <rank>:<slowdown> (none disables)",
-                 v_straggler());
-    s.add_string("partition", "contiguous",
-                 "shard plan across ranks: contiguous|strided|weighted "
-                 "(weighted sizes shards by per-rank device gflops)",
-                 v_partition());
-    s.add_int("iterations", 100, "outer iterations (epochs)", v_int_min(1));
-    s.add_int("cg-iterations", 10, "CG budget per Newton step", v_int_min(1));
-    s.add_double("cg-tol", 1e-4, "CG relative tolerance",
-                 v_double_min(0.0, /*inclusive=*/false));
-    s.add_int("line-search", 10, "line-search iteration budget", v_int_min(1));
-    s.add_double("objective-target", 0.0,
-                 "stop once F(z) <= target (<= 0 disables)");
-    s.add_int("staleness", 4, "async-admm bounded-staleness (rounds)",
-              v_int_min(1));
-    s.add_int("sync-every", 4, "stale-sync-admm barrier period (rounds)",
-              v_int_min(1));
-    s.add_string("fault", "none",
-                 "async-engine link faults: none or "
-                 "drop:<p>[,dup:<p>][,reorder:<p>][,corrupt:<p>]",
-                 v_fault());
-    s.add_string("kill", "none",
-                 "kill a rank after an epoch and rejoin it from the last "
-                 "checkpoint: <rank>:<epoch> (none disables; needs "
-                 "--checkpoint-every > 0)",
-                 v_kill());
-    s.add_int("checkpoint-every", 0,
-              "coordinator checkpoint period in applied updates (0 = off)",
-              v_int_min(0));
-    s.add_int("sgd-batch", 128, "sync-sgd minibatch size", v_int_min(1));
-    s.add_double("sgd-step", 0.1, "sync-sgd step size",
-                 v_double_min(0.0, /*inclusive=*/false));
-    s.add_int("dane-epochs", 10, "InexactDANE/AIDE epoch cap", v_int_min(1));
-    s.add_int("svrg-outer", 10, "DANE inner SVRG budget", v_int_min(1));
-    s.add_double("fo-step", 0.0,
-                 "single-node first-order step size (0 = rule default)",
-                 v_double_min(0.0));
-    s.add_double("gradient-tol", -1.0,
-                 "single-node gradient-norm stop (< 0 = solver default)");
-    s.add_int("omp-threads", 0, "OpenMP threads per rank (0 = auto)",
-              v_int_min(0));
+    for (const Knob& k : scenario_knobs()) {
+      if (!k.flag.name.empty()) s.add(k.flag);
+    }
     return s;
   }();
   return specs;
+}
+
+ExperimentConfig config_from_cli(const OptionSet& opts, const CliParser& cli) {
+  ExperimentConfig config;
+  for (const Knob& k : scenario_knobs()) {
+    if (k.flag.name.empty() || opts.find(k.flag.name) == nullptr) continue;
+    const std::string text = cli_text(cli, k.flag);
+    if (!text.empty()) k.set(config, "--" + k.flag.name, text);
+  }
+  return config;
 }
 
 const OptionSet& serving_options() {

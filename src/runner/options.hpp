@@ -10,6 +10,10 @@
 // validates the parsed values up front — every rejection names the
 // offending flag and echoes the bad value.
 //
+// The scenario flags are rows of scenario_knobs(), which also give each
+// ExperimentConfig member its `.sweep` key and fingerprint slot, so a
+// spec and a flag cannot disagree about a value.
+//
 // The same spec table doubles as the solver-knob catalog: the registry's
 // per-solver knob names resolve to typed KnobInfo entries here, so
 // `nadmm list --json` and the generated README solver table cannot
@@ -18,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,13 +30,16 @@
 
 namespace nadmm::runner {
 
+struct ExperimentConfig;
+
 enum class OptType { kInt, kDouble, kString, kFlag };
 std::string to_string(OptType type);
 
-/// Checks a parsed textual value; throws InvalidArgument naming `flag`
-/// (already "--"-prefixed) when the value is out of domain.
+/// Checks a parsed textual value; throws InvalidArgument naming `name`
+/// (as the caller shows it: "--flag", or "sweep key 'k'") when the value
+/// is out of domain.
 using OptionValidator =
-    std::function<void(const std::string& flag, const std::string& value)>;
+    std::function<void(const std::string& name, const std::string& value)>;
 
 struct OptionSpec {
   std::string name;  ///< flag name without the leading "--"
@@ -68,7 +76,6 @@ class OptionSet {
   /// InvalidArgument naming the first offending flag.
   void validate(const CliParser& cli) const;
 
-  [[nodiscard]] const std::vector<OptionSpec>& specs() const { return specs_; }
   /// Spec by name, or nullptr when absent.
   [[nodiscard]] const OptionSpec* find(const std::string& name) const;
 
@@ -83,33 +90,67 @@ class OptionSet {
 OptionValidator v_int_min(std::int64_t min);
 OptionValidator v_double_min(double min, bool inclusive = true);
 OptionValidator v_one_of(std::vector<std::string> allowed);
-/// Apply `inner` to every (trimmed) element of a `sep`-separated list;
-/// empty values pass (unset axis).
-OptionValidator v_each(char sep, OptionValidator inner);
 
 OptionValidator v_dataset();      ///< named dataset or libsvm:<path>
 OptionValidator v_device_list();  ///< ','/'+'-separated device specs
 OptionValidator v_network();      ///< comm::network_from_string presets
-OptionValidator v_straggler();    ///< "none" or <rank>:<slowdown>
+OptionValidator v_straggler();    ///< parse_straggler
 OptionValidator v_partition();    ///< contiguous|strided|weighted
 OptionValidator v_fault();        ///< "none" or comm::FaultSpec::parse spec
-OptionValidator v_kill();         ///< "none" or <rank>:<epoch>
+OptionValidator v_kill();         ///< parse_kill
 OptionValidator v_solver();       ///< registered solver name
 OptionValidator v_arrival();      ///< serve/arrival.hpp spec
 OptionValidator v_batch_policy(); ///< serve/batching.hpp spec
 OptionValidator v_byte_size();    ///< bytes with optional k/m/g suffix
 
 /// Parse "0", "1500000", "512m", "2g" (case-insensitive k/m/g suffix).
-/// Throws InvalidArgument naming `flag` on malformed input.
-std::size_t parse_byte_size(const std::string& flag, const std::string& value);
+/// Throws InvalidArgument naming `name` on malformed input.
+std::size_t parse_byte_size(const std::string& name, const std::string& value);
+
+/// "none" (nullopt) or <rank>:<slowdown> with rank >= 0, slowdown >= 1;
+/// throws InvalidArgument naming `name` otherwise (the harness checks
+/// rank < workers).
+struct StragglerSpec { std::int64_t rank; double slowdown; };
+std::optional<StragglerSpec> parse_straggler(const std::string& name,
+                                             const std::string& spec);
+/// "none" (nullopt) or <rank>:<epoch> with rank >= 0, epoch >= 1.
+struct KillSpec { std::int64_t rank; std::int64_t epoch; };
+std::optional<KillSpec> parse_kill(const std::string& name,
+                                   const std::string& spec);
 
 // ---------------------------------------------------------------------------
-// Shared option tables.
+// The knob table and the shared option tables.
 // ---------------------------------------------------------------------------
 
-/// The scenario surface shared by `nadmm run` and (as scalar overrides)
-/// `nadmm sweep`: dataset shape, cluster, solver knobs.
+/// One ExperimentConfig member and every surface that names it.
+struct Knob {
+  /// The run flag (name empty if none); the default is the member's
+  /// value in ExperimentConfig{}.
+  OptionSpec flag;
+  /// The member's name in the fingerprint, and its `.sweep` key when
+  /// `in_spec`; empty when a sweep axis sets the member.
+  std::string key;
+  bool in_spec = false;
+  /// Fixed position in spec_fingerprint's base section (-1: none), so
+  /// committed fingerprints and journals stay valid.
+  int slot = -1;
+  /// Parse `text` into the member; malformed numbers throw naming `name`.
+  std::function<void(ExperimentConfig&, const std::string& name,
+                     const std::string& text)>
+      set;
+  /// The member as the fingerprint writes it (doubles at %.17g).
+  std::function<std::string(const ExperimentConfig&)> get;
+};
+
+/// Every ExperimentConfig member, in `nadmm run --help` order.
+const std::vector<Knob>& scenario_knobs();
+
+/// The flags of scenario_knobs(): the scenario surface of `nadmm run`.
 const OptionSet& scenario_options();
+
+/// Defaults, overridden by each knob flag `opts` registered into `cli`;
+/// an empty string keeps the member (an unset --devices keeps --device).
+ExperimentConfig config_from_cli(const OptionSet& opts, const CliParser& cli);
 
 /// The serving-scenario surface shared by `nadmm serve` and the sweep's
 /// serving mode: arrival/batch specs, request count, dispatch overhead.

@@ -1,5 +1,6 @@
 #include "runner/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -16,10 +17,7 @@
 #include <type_traits>
 #include <utility>
 
-#include "comm/fault.hpp"
 #include "runner/registry.hpp"
-#include "serve/arrival.hpp"
-#include "serve/batching.hpp"
 #include "serve/server.hpp"
 #include "support/check.hpp"
 #include "support/telemetry.hpp"
@@ -37,37 +35,13 @@ std::string trim(const std::string& s) {
 
 std::vector<std::string> split_list(const std::string& value) {
   std::vector<std::string> out;
-  std::stringstream ss(value);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    item = trim(item);
-    if (!item.empty()) out.push_back(item);
+  for (std::size_t begin = 0; begin <= value.size();) {
+    const std::size_t end = std::min(value.find(',', begin), value.size());
+    std::string item = trim(value.substr(begin, end - begin));
+    if (!item.empty()) out.push_back(std::move(item));
+    begin = end + 1;
   }
   return out;
-}
-
-std::int64_t parse_int(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(value, &pos);
-    NADMM_CHECK(pos == value.size(), "trailing characters");
-    return v;
-  } catch (const std::exception&) {
-    throw InvalidArgument("sweep key '" + key + "': malformed integer '" +
-                          value + "'");
-  }
-}
-
-double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    NADMM_CHECK(pos == value.size(), "trailing characters");
-    return v;
-  } catch (const std::exception&) {
-    throw InvalidArgument("sweep key '" + key + "': malformed number '" +
-                          value + "'");
-  }
 }
 
 std::string fmt_double(double v) {
@@ -466,120 +440,191 @@ bool restore_outcome_line(const std::string& line,
 
 }  // namespace
 
+namespace {
+
+// ------------------------------------------------------------ spec fields
+
+/// One field of the spec's canonical serialization (the fingerprint);
+/// fields with `apply` are also `.sweep` keys and override flags.
+struct SpecField {
+  std::string key;
+  std::string help;  ///< the override flag's help line
+  /// Check `value` (errors name `who`) and store it in the spec.
+  std::function<void(SweepSpec&, const std::string& who,
+                     const std::string& value)>
+      apply;
+  /// The field as the fingerprint writes it (doubles at %.17g).
+  std::function<std::string(const SweepSpec&)> get;
+};
+
+template <class T>
+struct is_list : std::false_type {};
+template <class T>
+struct is_list<std::vector<T>> : std::true_type {};
+
+/// `v` as the fingerprint writes it: doubles at %.17g, bools as 0/1,
+/// grid axes comma-joined.
+template <class T>
+std::string text_of(const T& v) {
+  if constexpr (is_list<T>::value) {
+    std::string out;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) out += ',';
+      out += text_of(v[i]);
+    }
+    return out;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else if constexpr (std::is_same_v<T, double>) {
+    return fmt_double(v);
+  } else {
+    return std::to_string(v);
+  }
+}
+
+/// `text` as a T once it passes `check` (errors name `who`); a grid axis
+/// is a comma-separated list, checked element by element.
+template <class T>
+T parse_as(const OptionValidator& check, const std::string& who,
+           const std::string& text) {
+  if constexpr (is_list<T>::value) {
+    T items;
+    for (const std::string& item : split_list(text)) {
+      items.push_back(parse_as<typename T::value_type>(check, who, item));
+    }
+    return items;
+  } else {
+    if (check) check(who, text);
+    if constexpr (std::is_same_v<T, std::string>) {
+      return text;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      return text == "true" || text == "1";
+    } else if constexpr (std::is_same_v<T, double>) {
+      return std::stod(text);
+    } else {
+      return static_cast<T>(std::stoll(text));
+    }
+  }
+}
+
+/// Spec field `name` over `member`, its values passing `check`.
+template <class T>
+SpecField field(std::string name, T SweepSpec::*member, OptionValidator check,
+                std::string help) {
+  return {std::move(name), std::move(help),
+          [=](SweepSpec& spec, const std::string& who,
+              const std::string& value) {
+            spec.*member = parse_as<T>(check, who, value);
+          },
+          [=](const SweepSpec& spec) { return text_of(spec.*member); }};
+}
+
+/// The validator of run flag `flag`.
+OptionValidator check_of(const std::string& flag) {
+  const OptionSpec* spec = scenario_options().find(flag);
+  if (spec == nullptr) spec = serving_options().find(flag);
+  NADMM_ASSERT(spec != nullptr);
+  return spec->validator;
+}
+
+/// Every spec field in fingerprint order: the train axes, every base
+/// knob that survives expansion (axis-set members are covered by their
+/// axes) at its slot, then the spec-level fields. Values pass the
+/// validator of the matching run flag.
+const std::vector<SpecField>& spec_fields() {
+  using S = SweepSpec;
+  static const std::vector<SpecField> fields = [] {
+    std::vector<SpecField> out = {
+        field("solvers", &S::solvers, v_solver(),
+              "e.g. newton-admm,giant,sync-sgd"),
+        field("datasets", &S::datasets, check_of("dataset"),
+              "e.g. blobs,higgs"),
+        field("workers", &S::workers, check_of("workers"), "e.g. 4,8,16"),
+        field("devices", &S::devices, check_of("device"), "e.g. p100,cpu"),
+        field("networks", &S::networks, check_of("network"),
+              "e.g. ib100,eth10"),
+        field("penalties", &S::penalties, check_of("penalty"),
+              "e.g. sps,fixed"),
+        field("lambdas", &S::lambdas, check_of("lambda"), "e.g. 1e-5,1e-4"),
+        field("stragglers", &S::stragglers, check_of("straggler"),
+              "e.g. none,1:4"),
+        field("partitions", &S::partitions, check_of("partition"),
+              "e.g. contiguous,strided,weighted"),
+        field("faults", &S::faults, check_of("fault"),
+              "e.g. none,drop:0.05,drop:0.1+dup:0.02 ('+' joins clauses "
+              "within one entry)"),
+    };
+    std::vector<const Knob*> base;
+    for (const Knob& knob : scenario_knobs()) {
+      if (knob.slot >= 0) base.push_back(&knob);
+    }
+    std::sort(base.begin(), base.end(),
+              [](const Knob* a, const Knob* b) { return a->slot < b->slot; });
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      const Knob* knob = base[i];
+      NADMM_ASSERT(knob->slot == static_cast<int>(i));  // slots are 0..n-1
+      SpecField f{knob->key, knob->flag.help, {},
+                  [knob](const S& spec) { return knob->get(spec.base); }};
+      if (knob->in_spec) {
+        f.apply = [knob](S& spec, const std::string& who,
+                         const std::string& value) {
+          if (knob->flag.validator) knob->flag.validator(who, value);
+          knob->set(spec.base, who, value);
+        };
+      }
+      out.push_back(std::move(f));
+    }
+    out.insert(
+        out.end(),
+        {field("scale", &S::scale, v_double_min(0.0, /*inclusive=*/false),
+               "paper-scale multiplier for n-train/n-test (each scale "
+               "keeps its own resume journal)"),
+         field("weak_scaling", &S::weak_scaling,
+               v_one_of({"true", "false", "1", "0"}),
+               "true|false: n-train is the per-worker shard"),
+         field("mode", &S::mode, v_one_of({"train", "serving"}),
+               "grid mode: train|serving"),
+         field("arrivals", &S::arrivals, check_of("arrival"),
+               "serving-mode arrival axis, e.g. poisson:1000,bursty"),
+         field("batch_policies", &S::batch_policies, check_of("batch"),
+               "serving-mode batch axis, e.g. immediate,deadline:16:0.005"),
+         field("serve_requests", &S::serve_requests, check_of("requests"),
+               "serving requests per scenario"),
+         field("serve_model", &S::serve_model, {},
+               "serve a pre-trained model file instead of training"),
+         field("dispatch_overhead", &S::dispatch_overhead_s,
+               check_of("dispatch-overhead"),
+               "serving per-dispatch cost in seconds")});
+    return out;
+  }();
+  return fields;
+}
+
+/// The override flag of spec key `key`: n_train → n-train.
+std::string flag_name(std::string key) {
+  std::replace(key.begin(), key.end(), '_', '-');
+  return key;
+}
+
+}  // namespace
+
 void apply_sweep_assignment(SweepSpec& spec, const std::string& raw_key,
                             const std::string& raw_value) {
   const std::string key = trim(raw_key);
   const std::string value = trim(raw_value);
   NADMM_CHECK(!key.empty(), "sweep key must not be empty");
   NADMM_CHECK(!value.empty(), "sweep key '" + key + "' has an empty value");
-
-  const auto list = [&] { return split_list(value); };
-
-  if (key == "solvers") {
-    spec.solvers = list();
-  } else if (key == "datasets") {
-    spec.datasets = list();
-  } else if (key == "workers") {
-    spec.workers.clear();
-    for (const auto& item : list()) {
-      spec.workers.push_back(static_cast<int>(parse_int(key, item)));
+  for (const SpecField& k : spec_fields()) {
+    if (k.apply && k.key == key) {
+      return k.apply(spec, "sweep key '" + key + "'", value);
     }
-  } else if (key == "devices") {
-    spec.devices = list();
-  } else if (key == "networks") {
-    spec.networks = list();
-  } else if (key == "penalties") {
-    spec.penalties = list();
-  } else if (key == "lambdas") {
-    spec.lambdas.clear();
-    for (const auto& item : list()) {
-      spec.lambdas.push_back(parse_double(key, item));
-    }
-  } else if (key == "stragglers") {
-    spec.stragglers = list();
-  } else if (key == "partitions") {
-    spec.partitions = list();
-    for (const auto& item : spec.partitions) {
-      static_cast<void>(data::partition_mode_from_string(item));  // validate
-    }
-  } else if (key == "faults") {
-    spec.faults = list();
-    for (const auto& item : spec.faults) {
-      static_cast<void>(comm::FaultSpec::parse(item));  // validate
-    }
-  } else if (key == "kill") {
-    spec.base.kill = value;
-  } else if (key == "checkpoint_every") {
-    spec.base.checkpoint_every = static_cast<int>(parse_int(key, value));
-    NADMM_CHECK(spec.base.checkpoint_every >= 0,
-                "sweep key 'checkpoint_every': must be >= 0");
-  } else if (key == "n_train") {
-    spec.base.n_train = static_cast<std::size_t>(parse_int(key, value));
-  } else if (key == "n_test") {
-    spec.base.n_test = static_cast<std::size_t>(parse_int(key, value));
-  } else if (key == "e18_features") {
-    spec.base.e18_features = static_cast<std::size_t>(parse_int(key, value));
-  } else if (key == "seed") {
-    spec.base.seed = static_cast<std::uint64_t>(parse_int(key, value));
-  } else if (key == "iterations") {
-    spec.base.iterations = static_cast<int>(parse_int(key, value));
-  } else if (key == "cg_iterations") {
-    spec.base.cg_iterations = static_cast<int>(parse_int(key, value));
-  } else if (key == "cg_tol") {
-    spec.base.cg_tol = parse_double(key, value);
-  } else if (key == "line_search_iterations") {
-    spec.base.line_search_iterations = static_cast<int>(parse_int(key, value));
-  } else if (key == "staleness") {
-    spec.base.staleness = static_cast<int>(parse_int(key, value));
-  } else if (key == "sync_every") {
-    spec.base.sync_every = static_cast<int>(parse_int(key, value));
-  } else if (key == "objective_target") {
-    spec.base.objective_target = parse_double(key, value);
-  } else if (key == "mode") {
-    NADMM_CHECK(value == "train" || value == "serving",
-                "sweep key 'mode': expected train|serving, got '" + value +
-                    "'");
-    spec.mode = value;
-  } else if (key == "arrivals") {
-    spec.arrivals = list();
-    for (const auto& item : spec.arrivals) {
-      static_cast<void>(serve::make_arrival(item));  // validate
-    }
-  } else if (key == "batch_policies") {
-    spec.batch_policies = list();
-    for (const auto& item : spec.batch_policies) {
-      static_cast<void>(serve::make_batch_policy(item));  // validate
-    }
-  } else if (key == "scale") {
-    spec.scale = parse_double(key, value);
-    NADMM_CHECK(spec.scale > 0.0, "sweep key 'scale': must be > 0");
-  } else if (key == "weak_scaling") {
-    if (value == "true" || value == "1") {
-      spec.weak_scaling = true;
-    } else if (value == "false" || value == "0") {
-      spec.weak_scaling = false;
-    } else {
-      throw InvalidArgument("sweep key 'weak_scaling': expected true|false, "
-                            "got '" + value + "'");
-    }
-  } else if (key == "serve_requests") {
-    spec.serve_requests = static_cast<std::size_t>(parse_int(key, value));
-  } else if (key == "serve_model") {
-    spec.serve_model = value;
-  } else if (key == "dispatch_overhead") {
-    spec.dispatch_overhead_s = parse_double(key, value);
-    NADMM_CHECK(spec.dispatch_overhead_s >= 0.0,
-                "sweep key 'dispatch_overhead': must be >= 0 seconds");
-  } else {
-    throw InvalidArgument(
-        "unknown sweep key '" + key +
-        "' (grid axes: solvers|datasets|workers|devices|networks|penalties|"
-        "lambdas|stragglers|partitions|faults|arrivals|batch_policies; "
-        "scalars: n_train|n_test|e18_features|seed|iterations|cg_iterations|"
-        "cg_tol|line_search_iterations|staleness|sync_every|kill|"
-        "checkpoint_every|objective_target|mode|scale|weak_scaling|"
-        "serve_requests|serve_model|dispatch_overhead)");
   }
+  std::string known;
+  for (const SpecField& k : spec_fields()) {
+    if (k.apply) known += (known.empty() ? "" : "|") + k.key;
+  }
+  throw InvalidArgument("unknown sweep key '" + key + "' (expected " + known +
+                        ")");
 }
 
 SweepSpec parse_sweep_file(const std::string& path) {
@@ -593,16 +638,39 @@ SweepSpec parse_sweep_file(const std::string& path) {
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
     if (trim(line).empty()) continue;
+    const std::string where =
+        "sweep spec " + path + ":" + std::to_string(line_no);
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
-      throw InvalidArgument("sweep spec " + path + ":" +
-                            std::to_string(line_no) +
-                            ": expected 'key = value', got '" + trim(line) +
-                            "'");
+      throw InvalidArgument(where + ": expected 'key = value', got '" +
+                            trim(line) + "'");
     }
-    apply_sweep_assignment(spec, line.substr(0, eq), line.substr(eq + 1));
+    try {
+      apply_sweep_assignment(spec, line.substr(0, eq), line.substr(eq + 1));
+    } catch (const InvalidArgument& e) {
+      throw InvalidArgument(where + ": " + e.what());
+    }
   }
   return spec;
+}
+
+const OptionSet& sweep_override_options() {
+  static const OptionSet options = [] {
+    OptionSet s;
+    for (const SpecField& k : spec_fields()) {
+      if (k.apply) s.add_string(flag_name(k.key), "", k.help);
+    }
+    return s;
+  }();
+  return options;
+}
+
+void apply_sweep_overrides(SweepSpec& spec, const CliParser& cli) {
+  for (const SpecField& k : spec_fields()) {
+    if (!k.apply) continue;
+    const std::string& value = cli.get_string(flag_name(k.key));
+    if (!value.empty()) apply_sweep_assignment(spec, k.key, value);
+  }
 }
 
 namespace {
@@ -761,57 +829,10 @@ std::vector<Scenario> expand_scenarios(const SweepSpec& spec) {
 }
 
 std::string spec_fingerprint(const SweepSpec& spec) {
-  std::ostringstream os;
-  const auto join = [&os](const char* name, const auto& items,
-                          auto&& format) {
-    os << name << '=';
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (i > 0) os << ',';
-      os << format(items[i]);
-    }
-    os << ';';
-  };
-  const auto str = [](const std::string& s) { return s; };
-  const auto integer = [](int v) { return std::to_string(v); };
-  join("solvers", spec.solvers, str);
-  join("datasets", spec.datasets, str);
-  join("workers", spec.workers, integer);
-  join("devices", spec.devices, str);
-  join("networks", spec.networks, str);
-  join("penalties", spec.penalties, str);
-  join("lambdas", spec.lambdas, fmt_double);
-  join("stragglers", spec.stragglers, str);
-  join("partitions", spec.partitions, str);
-  join("faults", spec.faults, str);
-  // Every base knob that survives scenario expansion (the per-axis fields
-  // are overwritten per scenario and already covered above).
-  const auto& b = spec.base;
-  os << "n_train=" << b.n_train << ";n_test=" << b.n_test
-     << ";e18_features=" << b.e18_features << ";seed=" << b.seed
-     << ";rho0=" << fmt_double(b.rho0) << ";iterations=" << b.iterations
-     << ";cg_iterations=" << b.cg_iterations
-     << ";cg_tol=" << fmt_double(b.cg_tol)
-     << ";line_search_iterations=" << b.line_search_iterations
-     << ";local_newton_steps=" << b.local_newton_steps
-     << ";objective_target=" << fmt_double(b.objective_target)
-     << ";evaluate_accuracy=" << b.evaluate_accuracy
-     << ";sgd_batch=" << b.sgd_batch << ";sgd_step=" << fmt_double(b.sgd_step)
-     << ";dane_epochs=" << b.dane_epochs << ";svrg_outer=" << b.svrg_outer
-     << ";fo_step=" << fmt_double(b.fo_step)
-     << ";gradient_tol=" << fmt_double(b.gradient_tol)
-     << ";omp_threads=" << b.omp_threads
-     << ";staleness=" << b.staleness << ";sync_every=" << b.sync_every
-     << ";kill=" << b.kill << ";checkpoint_every=" << b.checkpoint_every
-     << ';';
-  os << "scale=" << fmt_double(spec.scale)
-     << ";weak_scaling=" << spec.weak_scaling << ';';
-  os << "mode=" << spec.mode << ';';
-  join("arrivals", spec.arrivals, str);
-  join("batch_policies", spec.batch_policies, str);
-  os << "serve_requests=" << spec.serve_requests
-     << ";serve_model=" << spec.serve_model
-     << ";dispatch_overhead=" << fmt_double(spec.dispatch_overhead_s) << ';';
-  const std::string canonical = os.str();
+  std::string canonical;
+  for (const SpecField& k : spec_fields()) {
+    canonical += k.key + '=' + k.get(spec) + ';';
+  }
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64
   for (const char c : canonical) {
     h ^= static_cast<unsigned char>(c);
@@ -1055,7 +1076,7 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
     };
     try {
       ExperimentConfig config = scenario.config;
-      if (options.deterministic) config.omp_threads = 1;
+      config.omp_threads = 1;
       if (scenario.serving) {
         const auto model = serve_model_for(scenario, config);
         // The request pool is the test split of the scenario's dataset.

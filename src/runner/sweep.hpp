@@ -7,9 +7,9 @@
 // Determinism: scenarios are expanded in a fixed axis order and results
 // are stored by scenario index, so the report is byte-identical no
 // matter how many scheduler threads run it (`--jobs=1` vs `--jobs=4`).
-// Each scenario's cluster is pinned to one OpenMP thread per rank by
-// default, which removes run-to-run float reassociation and keeps
-// `jobs × workers` from oversubscribing the host.
+// Each scenario's cluster is pinned to one OpenMP thread per rank, which
+// removes run-to-run float reassociation and keeps `jobs × workers` from
+// oversubscribing the host.
 //
 // Datasets are fetched through a DatasetProvider (src/data/provider.hpp),
 // so scenarios that differ only in solver/workers/device/network/penalty/λ
@@ -31,6 +31,7 @@
 #include "core/trace.hpp"
 #include "data/provider.hpp"
 #include "runner/harness.hpp"
+#include "runner/options.hpp"
 
 namespace nadmm::runner {
 
@@ -95,14 +96,27 @@ struct SweepSpec {
 
 /// Apply one `key = value` assignment to the spec. Grid axes take
 /// comma-separated lists ("solvers = newton-admm, giant"); scalar keys
-/// ("n_train", "iterations", ...) set the shared base config. Throws
-/// InvalidArgument on unknown keys or malformed values.
+/// ("n_train", "iterations", ...) set the shared base config. Every axis
+/// element and scalar passes the validator of the matching run flag
+/// (`workers` that of --workers, `n_train` that of --n-train, ...).
+/// Throws InvalidArgument naming the key on unknown keys or invalid
+/// values.
 void apply_sweep_assignment(SweepSpec& spec, const std::string& key,
                             const std::string& value);
 
 /// Parse a sweep spec file: one `key = value` per line, `#` comments and
-/// blank lines ignored. Starts from the default-constructed spec.
+/// blank lines ignored. Starts from the default-constructed spec. Errors
+/// name the key and `path:line`.
 SweepSpec parse_sweep_file(const std::string& path);
+
+/// One string flag per spec key (`_` becomes `-`: --n-train, --solvers,
+/// --batch-policies, ...), each empty by default, for `nadmm sweep` to
+/// override a spec file inline.
+const OptionSet& sweep_override_options();
+
+/// Apply every non-empty sweep_override_options() flag `cli` parsed, its
+/// text passed to apply_sweep_assignment unchanged.
+void apply_sweep_overrides(SweepSpec& spec, const CliParser& cli);
 
 /// One expanded grid point.
 struct Scenario {
@@ -198,9 +212,6 @@ struct SweepOptions {
   /// spec fingerprint: tracing an existing journal's grid on resume is
   /// allowed (only freshly executed scenarios get trace files).
   std::string trace_event_dir;
-  /// Pin each rank to one OpenMP thread (see header comment). Disabling
-  /// re-enables intra-rank parallelism but forfeits byte-stable reports.
-  bool deterministic = true;
 
   /// If set, append each finished scenario to this JSONL journal
   /// (flushed per line, so a killed run loses at most the in-flight

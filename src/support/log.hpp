@@ -16,7 +16,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 /// Process-wide log configuration. Thread-safe.
 class Log {
  public:
-  static void set_level(LogLevel level) { instance().level_ = level; }
   static LogLevel level() { return instance().level_; }
 
   static void write(LogLevel level, const std::string& message) {

@@ -525,6 +525,9 @@ TEST(ClusterDevices, PerRankListsCycleAndStragglerApplies) {
   config.straggler = "1:being-slow";
   EXPECT_THROW(static_cast<void>(runner::cluster_devices(config)),
                InvalidArgument);
+  config.straggler = "1:0.5";  // a speed-up, not a straggler
+  EXPECT_THROW(static_cast<void>(runner::cluster_devices(config)),
+               InvalidArgument);
 }
 
 TEST(ClusterDevices, SynchronousSolverPaysForTheStraggler) {

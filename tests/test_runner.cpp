@@ -235,12 +235,36 @@ TEST(OptionSpecs, DomainValidatorsCoverTheSharedAxes) {
   rejects(v_arrival(), "bursty:400:100:0.5:0.2");
   ok(v_batch_policy(), "deadline:16:0.005");
   rejects(v_batch_policy(), "deadline:16");
-  ok(v_each(',', v_network()), "ideal, eth10,wan");
-  rejects(v_each(',', v_network()), "ideal,nope");
   EXPECT_EQ(parse_byte_size("--b", "512m"), 512u << 20);
   EXPECT_EQ(parse_byte_size("--b", "2G"), std::size_t{2} << 30);
   EXPECT_EQ(parse_byte_size("--b", "0"), 0u);
   EXPECT_THROW(parse_byte_size("--b", "12q"), InvalidArgument);
+}
+
+// The knob table is the only declaration of a scenario knob: unset flags
+// read back as the ExperimentConfig{} defaults, --devices overrides
+// --device, and doubles arrive exactly as typed.
+TEST(OptionSpecs, ConfigFromCliFollowsTheKnobTable) {
+  const ExperimentConfig defaults;
+  CliParser unset("test");
+  scenario_options().register_into(unset);
+  const char* none[] = {"prog"};
+  ASSERT_TRUE(unset.parse(1, none));
+  const ExperimentConfig plain = config_from_cli(scenario_options(), unset);
+  for (const Knob& k : scenario_knobs()) {
+    EXPECT_EQ(k.get(plain), k.get(defaults)) << "--" << k.flag.name;
+  }
+
+  CliParser cli("test");
+  scenario_options().register_into(cli);
+  const char* argv[] = {"prog", "--device=cpu", "--devices=p100+cpu",
+                        "--objective-target=1e-7", "--n-train=123"};
+  ASSERT_TRUE(cli.parse(5, argv));
+  const ExperimentConfig c = config_from_cli(scenario_options(), cli);
+  EXPECT_EQ(c.device, "p100+cpu");
+  EXPECT_EQ(c.objective_target, 1e-7);
+  EXPECT_EQ(c.n_train, 123u);
+  EXPECT_EQ(c.sync_every, defaults.sync_every);
 }
 
 TEST(OptionSpecs, SharedTablesStayConsistent) {

@@ -12,8 +12,10 @@
 #include <utility>
 #include <vector>
 
+#include "runner/options.hpp"
 #include "runner/sweep.hpp"
 #include "support/check.hpp"
+#include "support/cli.hpp"
 
 namespace nadmm::runner {
 namespace {
@@ -86,8 +88,80 @@ TEST(SweepSpecParsing, BadSpecLineAndMissingFileThrow) {
     out << "solvers newton-admm\n";
   }
   EXPECT_THROW(static_cast<void>(parse_sweep_file(path)), InvalidArgument);
+  {
+    std::ofstream out(path);
+    out << "# comment\nsolvers = newton-admm\nworkers = 2, 0\n";
+  }
+  try {
+    static_cast<void>(parse_sweep_file(path));
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path + ":3"), std::string::npos) << what;
+    EXPECT_NE(what.find("'workers'"), std::string::npos) << what;
+  }
   std::filesystem::remove(path);
   EXPECT_THROW(static_cast<void>(parse_sweep_file(path)), RuntimeError);
+}
+
+// A spec value and the matching `nadmm run` flag value pass the same
+// validator, so each of these is rejected by both, naming key or flag.
+TEST(SweepSpecParsing, SpecValuesAndRunFlagsAgree) {
+  struct Case {
+    const char* key;
+    const char* flag;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"n_train", "n-train", "-1"},       {"staleness", "staleness", "0"},
+      {"seed", "seed", "-3"},             {"stragglers", "straggler", "1:0.5"},
+      {"penalties", "penalty", "bogus"},  {"lambdas", "lambda", "-1"},
+      {"kill", "kill", "x"},
+  };
+  for (const Case& c : cases) {
+    SweepSpec spec;
+    try {
+      apply_sweep_assignment(spec, c.key, c.value);
+      ADD_FAILURE() << "spec accepted " << c.key << " = " << c.value;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+          << e.what();
+    }
+    CliParser cli("test");
+    scenario_options().register_into(cli);
+    const std::string arg = std::string("--") + c.flag + "=" + c.value;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(cli.parse(2, argv));
+    try {
+      scenario_options().validate(cli);
+      ADD_FAILURE() << "run flags accepted " << arg;
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + c.flag),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Every spec key is a `nadmm sweep` flag whose text reaches the spec
+// unchanged: no printf round trip, no -1 "keep" sentinel.
+TEST(SweepSpecParsing, OverrideFlagsForwardTheirText) {
+  CliParser cli("test");
+  sweep_override_options().register_into(cli);
+  const char* argv[] = {"prog", "--objective-target=1e-7", "--scale=1e-7",
+                        "--line-search-iterations=3",
+                        "--batch-policies=size:4"};
+  ASSERT_TRUE(cli.parse(5, argv));
+  sweep_override_options().validate(cli);
+  SweepSpec spec;
+  apply_sweep_overrides(spec, cli);
+  EXPECT_EQ(spec.base.objective_target, 1e-7);
+  EXPECT_EQ(spec.scale, 1e-7);
+  EXPECT_EQ(spec.base.line_search_iterations, 3);
+  EXPECT_EQ(spec.batch_policies, std::vector<std::string>{"size:4"});
+  // Unset flags keep the spec's values.
+  EXPECT_EQ(spec.base.n_train, SweepSpec{}.base.n_train);
+  EXPECT_EQ(spec.solvers, SweepSpec{}.solvers);
 }
 
 // ------------------------------------------------------------ expansion
@@ -422,6 +496,27 @@ TEST(SweepJournal, FingerprintTracksEverySpecAxisAndBaseKnob) {
   other.lambdas = {1e-3, 1e-1};
   EXPECT_NE(spec_fingerprint(base), spec_fingerprint(other));
   EXPECT_EQ(spec_fingerprint(base), spec_fingerprint(tiny_spec()));
+}
+
+// The committed grids' fingerprints: figure metadata and resume journals
+// depend on these exact values.
+TEST(SweepJournal, CommittedSpecFingerprintsAreStable) {
+  const std::pair<const char*, const char*> pinned[] = {
+      {"fig1_solvers", "22f95bb558c1ee92"},
+      {"fig2_epoch_time", "5ea1c5eeba4270d3"},
+      {"fig3_speedup", "2f50c0d8858d9794"},
+      {"fig4_sgd", "2d03643c939e3899"},
+      {"fig5_weak_scaling", "cddd03e70378fecc"},
+      {"async_grid", "24952a59b793d0db"},
+      {"fault_grid", "1f5044a1122b54bc"},
+      {"serving_grid", "69343ca217092852"},
+      {"quick", "faeb33e2a9c8a21c"},
+  };
+  for (const auto& [name, fingerprint] : pinned) {
+    const std::string path =
+        std::string(NADMM_SOURCE_DIR) + "/sweeps/" + name + ".sweep";
+    EXPECT_EQ(spec_fingerprint(parse_sweep_file(path)), fingerprint) << path;
+  }
 }
 
 /// Four serving scenarios: the latency and throughput columns.
