@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "baselines/diag.hpp"
+#include "core/epoch_recorder.hpp"
 #include "data/partition.hpp"
 #include "la/vector_ops.hpp"
 #include "model/softmax.hpp"
@@ -25,8 +25,6 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
   const int n_ranks = cluster.size();
   const std::size_t dim = data.dim();
   const double n_ranks_d = static_cast<double>(n_ranks);
-  const bool eval_accuracy =
-      options.evaluate_accuracy && data.test_samples > 0;
 
   cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
@@ -38,9 +36,8 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
     std::vector<model::SoftmaxObjective> batches;
     batches.reserve(batch_data.size());
     for (const auto& b : batch_data) batches.emplace_back(b, 0.0);
-    EpochRecorder recorder(ctx, local, options.lambda,
-                           eval_accuracy ? rd.test : data::Dataset{},
-                           eval_accuracy ? data.test_samples : 0, result);
+    core::EpochRecorder recorder(ctx, local, options.lambda, data,
+                                     options.evaluate_accuracy, result);
     ctx.clock().resume();
 
     std::vector<double> w(dim, 0.0), x_prev(dim, 0.0), y_t(dim, 0.0),
@@ -93,14 +90,11 @@ core::RunResult inexact_dane(comm::SimCluster& cluster,
       }
       la::copy(sv.x, w);
 
-      if (options.record_trace) recorder.record(k + 1, w);
+      recorder.record(k + 1, w);
     }
     if (ctx.is_root()) result.x = w;
   });
 
-  if (result.iterations > 0) {
-    result.avg_epoch_sim_seconds = result.total_sim_seconds / result.iterations;
-  }
   return result;
 }
 

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "baselines/diag.hpp"
+#include "core/epoch_recorder.hpp"
 #include "data/partition.hpp"
 #include "la/vector_ops.hpp"
 #include "model/softmax.hpp"
@@ -20,17 +20,14 @@ core::RunResult disco(comm::SimCluster& cluster,
   core::RunResult result;
   result.solver = "disco";
   const std::size_t dim = data.dim();
-  const bool eval_accuracy =
-      options.evaluate_accuracy && data.test_samples > 0;
 
   cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
     ctx.clock().pause();
     const data::RankData& rd = data.ranks[static_cast<std::size_t>(rank)];
     model::SoftmaxObjective local(rd.train, /*l2_lambda=*/0.0);
-    EpochRecorder recorder(ctx, local, options.lambda,
-                           eval_accuracy ? rd.test : data::Dataset{},
-                           eval_accuracy ? data.test_samples : 0, result);
+    core::EpochRecorder recorder(ctx, local, options.lambda, data,
+                                     options.evaluate_accuracy, result);
     ctx.clock().resume();
 
     std::vector<double> w(dim, 0.0), g(dim), p(dim), hp(dim);
@@ -62,14 +59,11 @@ core::RunResult disco(comm::SimCluster& cluster,
           std::sqrt(std::max(0.0, la::dot(p, hp) / n_total));
       la::axpy(1.0 / (1.0 + delta), p, w);
 
-      if (options.record_trace) recorder.record(k + 1, w);
+      recorder.record(k + 1, w);
     }
     if (ctx.is_root()) result.x = w;
   });
 
-  if (result.iterations > 0) {
-    result.avg_epoch_sim_seconds = result.total_sim_seconds / result.iterations;
-  }
   return result;
 }
 

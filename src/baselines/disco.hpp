@@ -19,7 +19,6 @@ struct DiscoOptions {
   int max_iterations = 100;
   double lambda = 1e-5;
   solvers::CgOptions cg;  ///< distributed CG budget per outer iteration
-  bool record_trace = true;
   bool evaluate_accuracy = true;
 };
 

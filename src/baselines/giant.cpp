@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "baselines/diag.hpp"
+#include "core/epoch_recorder.hpp"
 #include "data/partition.hpp"
 #include "la/vector_ops.hpp"
 #include "model/softmax.hpp"
@@ -24,17 +24,14 @@ core::RunResult giant(comm::SimCluster& cluster,
   const std::size_t dim = data.dim();
   const std::size_t n_steps =
       static_cast<std::size_t>(options.line_search_steps) + 1;
-  const bool eval_accuracy =
-      options.evaluate_accuracy && data.test_samples > 0;
 
   cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
     ctx.clock().pause();
     const data::RankData& rd = data.ranks[static_cast<std::size_t>(rank)];
     model::SoftmaxObjective local(rd.train, /*l2_lambda=*/0.0);
-    EpochRecorder recorder(ctx, local, options.lambda,
-                           eval_accuracy ? rd.test : data::Dataset{},
-                           eval_accuracy ? data.test_samples : 0, result);
+    core::EpochRecorder recorder(ctx, local, options.lambda, data,
+                                     options.evaluate_accuracy, result);
     ctx.clock().resume();
 
     std::vector<double> w(dim, 0.0), g(dim), p(dim), trial(dim);
@@ -106,21 +103,16 @@ core::RunResult giant(comm::SimCluster& cluster,
       }
       if (accepted > 0.0) la::axpy(accepted, p, w);
 
-      if (options.record_trace) {
-        const double objective = recorder.record(k + 1, w);
-        if (options.objective_target > 0.0 &&
-            objective <= options.objective_target) {
-          break;  // objective came via allreduce: uniform across ranks
-        }
+      const double objective = recorder.record(k + 1, w).objective;
+      if (options.objective_target > 0.0 &&
+          objective <= options.objective_target) {
+        break;  // objective came via allreduce: uniform across ranks
       }
       if (accepted == 0.0) break;  // stagnated
     }
     if (ctx.is_root()) result.x = w;
   });
 
-  if (result.iterations > 0) {
-    result.avg_epoch_sim_seconds = result.total_sim_seconds / result.iterations;
-  }
   return result;
 }
 

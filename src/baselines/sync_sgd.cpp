@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "baselines/diag.hpp"
+#include "core/epoch_recorder.hpp"
 #include "data/partition.hpp"
 #include "la/vector_ops.hpp"
 #include "model/softmax.hpp"
@@ -26,8 +26,6 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
   const std::size_t dim = data.dim();
   const double n_total = static_cast<double>(data.train_samples);
   const double lambda_mean = options.lambda / n_total;
-  const bool eval_accuracy =
-      options.evaluate_accuracy && data.test_samples > 0;
 
   cluster.run([&](comm::RankCtx& ctx) {
     const int rank = ctx.rank();
@@ -35,9 +33,8 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
     const data::RankData& rd = data.ranks[static_cast<std::size_t>(rank)];
     const data::Dataset& shard = rd.train;
     model::SoftmaxObjective local(shard, /*l2_lambda=*/0.0);
-    EpochRecorder recorder(ctx, local, options.lambda,
-                           eval_accuracy ? rd.test : data::Dataset{},
-                           eval_accuracy ? data.test_samples : 0, result);
+    core::EpochRecorder recorder(ctx, local, options.lambda, data,
+                                     options.evaluate_accuracy, result);
 
     auto batch_data = solvers::make_batches(shard, options.batch_size);
     std::vector<model::SoftmaxObjective> batches;
@@ -71,14 +68,11 @@ core::RunResult sync_sgd(comm::SimCluster& cluster,
         }
         nadmm::flops::add(4 * dim);
       }
-      if (options.record_trace) recorder.record(epoch + 1, w);
+      recorder.record(epoch + 1, w);
     }
     if (ctx.is_root()) result.x = w;
   });
 
-  if (result.iterations > 0) {
-    result.avg_epoch_sim_seconds = result.total_sim_seconds / result.iterations;
-  }
   return result;
 }
 

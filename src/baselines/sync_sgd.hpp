@@ -23,7 +23,6 @@ struct SyncSgdOptions {
   double step_size = 0.1;        ///< applied to the *mean* gradient
   double lambda = 1e-5;
   std::uint64_t seed = 7;
-  bool record_trace = true;
   bool evaluate_accuracy = true;
 };
 

@@ -492,9 +492,6 @@ std::vector<AsyncRankReport> AsyncEngine::run(const StartFn& on_start,
     report.compute_seconds = clock.compute_seconds();
     report.comm_seconds = clock.comm_seconds();
     report.wait_seconds = clock.wait_seconds();
-    report.finish_time = clock.total_seconds();
-    report.total_flops = clock.total_flops();
-    report.total_bytes = clock.total_bytes();
     report.messages_sent = ranks[r].sent_;
     report.messages_received = ranks[r].received_;
     report.messages_dropped = ranks[r].dropped_;

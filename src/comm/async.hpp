@@ -65,9 +65,6 @@ struct AsyncRankReport {
   double compute_seconds = 0.0;
   double comm_seconds = 0.0;   ///< serialization charges for sent frames
   double wait_seconds = 0.0;   ///< idle time between handler invocations
-  double finish_time = 0.0;    ///< rank clock when the event queue drained
-  std::uint64_t total_flops = 0;
-  std::uint64_t total_bytes = 0;
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_received = 0;
   /// Messages addressed to this rank that were never delivered: dropped

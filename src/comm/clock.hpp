@@ -69,7 +69,6 @@ class SimClock {
     bytes_at_last_sync_ = nadmm::flops::read_bytes();
     paused_ = false;
   }
-  [[nodiscard]] bool paused() const { return paused_; }
 
   /// Charge explicit compute seconds (for work not expressed in flops).
   void add_compute(double seconds) { compute_s_ += seconds; }
@@ -108,7 +107,6 @@ class SimClock {
   }
   [[nodiscard]] std::uint64_t total_flops() const { return total_flops_; }
   [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
-  [[nodiscard]] const la::DeviceModel& device() const { return device_; }
 
   void reset() {
     compute_s_ = comm_s_ = wait_s_ = 0.0;

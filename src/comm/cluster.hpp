@@ -85,15 +85,8 @@ class RankCtx {
   void gather(std::span<const double> in, std::vector<double>& out,
               int root = 0);
 
-  /// Inverse of gather: root's `in` must hold size()*out.size() values.
-  void scatter(std::span<const double> in, std::span<double> out,
-               int root = 0);
-
   /// Broadcast root's buffer to all ranks (in-place on non-roots).
   void broadcast(std::span<double> data, int root = 0);
-
-  /// Every rank ends with the concatenation of all contributions.
-  void allgather(std::span<const double> in, std::vector<double>& out);
 
  private:
   friend class SimCluster;
@@ -114,8 +107,6 @@ struct RankReport {
   /// barrier skew (slowest rank's busy time minus this rank's), the time
   /// a fast rank spent parked at barriers waiting for stragglers.
   double wait_seconds = 0.0;
-  std::uint64_t total_flops = 0;
-  std::uint64_t total_bytes = 0;
 };
 
 /// Owns the shared collective state and the rank threads.
@@ -144,9 +135,6 @@ class SimCluster {
 
   [[nodiscard]] int size() const { return size_; }
   [[nodiscard]] const NetworkModel& network() const { return network_; }
-  [[nodiscard]] const la::DeviceModel& device(int rank) const {
-    return devices_[static_cast<std::size_t>(rank)];
-  }
   [[nodiscard]] const std::vector<la::DeviceModel>& devices() const {
     return devices_;
   }

@@ -66,7 +66,6 @@ class AdmmWorker {
   /// The penalty used by the last local_step (diagnostic residuals).
   [[nodiscard]] double round_rho() const { return round_rho_; }
   [[nodiscard]] model::SoftmaxObjective& objective() { return local_; }
-  [[nodiscard]] const data::Dataset& shard() const { return shard_; }
 
   /// Versioned binary snapshot of the iterate state (x, y, ĥ, z, z_prev,
   /// round ρ, penalty memory). The shard and options are not serialized:
@@ -104,11 +103,7 @@ class ConsensusState {
   /// Write the current consensus into `z`. O(dim).
   void compute_z(std::span<double> z) const;
 
-  [[nodiscard]] double rho(int w) const {
-    return rho_[static_cast<std::size_t>(w)];
-  }
   [[nodiscard]] double rho_sum() const { return rho_sum_; }
-  [[nodiscard]] std::size_t dim() const { return sum_.size(); }
 
   /// Versioned binary snapshot of the merge state (running sums + the
   /// per-worker contributions they were built from). λ comes from the

@@ -57,6 +57,18 @@ struct RunResult {
   /// CSV/JSON/journal carry the map generically.
   std::map<std::string, std::uint64_t> metrics;
 
+  /// Land one epoch: append its trace row and make it the run's final
+  /// state. The only way a solver writes trace rows.
+  void add_epoch(const IterationStats& s) {
+    trace.push_back(s);
+    iterations = s.iteration;
+    final_objective = s.objective;
+    final_test_accuracy = s.test_accuracy;
+    total_sim_seconds = s.sim_seconds;
+    total_wall_seconds = s.wall_seconds;
+    if (iterations > 0) avg_epoch_sim_seconds = total_sim_seconds / iterations;
+  }
+
   /// Value of a metric, 0 when absent.
   [[nodiscard]] std::uint64_t metric(const std::string& name) const {
     const auto it = metrics.find(name);

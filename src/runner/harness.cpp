@@ -127,8 +127,8 @@ solvers::AsyncAdmmOptions async_options(const ExperimentConfig& config,
   const auto kill =
       config.kill.empty() ? std::nullopt : parse_kill("kill", config.kill);
   if (kill) {
-    o.kill_rank = static_cast<int>(kill->rank);
-    o.kill_epoch = static_cast<int>(kill->epoch);
+    o.kill_rank = kill->rank;
+    o.kill_epoch = kill->epoch;
   }
   return o;
 }
@@ -199,6 +199,32 @@ core::RunResult run_solver(const std::string& solver,
   return SolverRegistry::instance().run(solver, cluster, data, config);
 }
 
+serve::SavedModel trained_model(const std::string& solver,
+                                const ExperimentConfig& config,
+                                const data::Dataset& train,
+                                const core::RunResult& result) {
+  return {.solver = solver,
+          .dataset = config.dataset,
+          .num_features = train.num_features(),
+          .num_classes = train.num_classes(),
+          .lambda = config.lambda,
+          .x = result.x};
+}
+
+serve::ServeConfig serve_config(const ExperimentConfig& config,
+                                std::string arrival, std::string batch,
+                                std::size_t requests,
+                                double dispatch_overhead_s) {
+  return {.arrival = std::move(arrival),
+          .batch = std::move(batch),
+          .requests = requests,
+          .seed = config.seed,
+          .device = config.device,
+          .network = config.network,
+          .dispatch_overhead_s = dispatch_overhead_s,
+          .omp_threads = config.omp_threads};
+}
+
 void write_trace_csv(const core::RunResult& result, const std::string& path) {
   CsvWriter csv(path, {"iteration", "objective", "test_accuracy",
                        "sim_seconds", "wall_seconds", "epoch_sim_seconds",
@@ -221,22 +247,16 @@ void print_trace_summary(const core::RunResult& result, int max_rows) {
               result.total_sim_seconds);
   if (result.trace.empty()) return;
   Table t({"iter", "objective", "test_acc", "sim_s", "epoch_ms"});
-  const std::size_t n = result.trace.size();
-  const std::size_t stride =
-      std::max<std::size_t>(1, n / static_cast<std::size_t>(std::max(1, max_rows)));
-  for (std::size_t i = 0; i < n; i += stride) {
-    const auto& it = result.trace[i];
+  const auto add = [&t](const core::IterationStats& it) {
     t.add_row({Table::fmt_int(it.iteration), Table::fmt(it.objective, 6),
                Table::fmt(it.test_accuracy, 4), Table::fmt(it.sim_seconds, 4),
                Table::fmt(it.epoch_sim_seconds * 1e3, 3)});
-  }
-  const auto& last = result.trace.back();
-  if ((n - 1) % stride != 0) {
-    t.add_row({Table::fmt_int(last.iteration), Table::fmt(last.objective, 6),
-               Table::fmt(last.test_accuracy, 4),
-               Table::fmt(last.sim_seconds, 4),
-               Table::fmt(last.epoch_sim_seconds * 1e3, 3)});
-  }
+  };
+  const std::size_t n = result.trace.size();
+  const std::size_t stride =
+      std::max<std::size_t>(1, n / static_cast<std::size_t>(std::max(1, max_rows)));
+  for (std::size_t i = 0; i < n; i += stride) add(result.trace[i]);
+  if ((n - 1) % stride != 0) add(result.trace.back());
   t.print();
 }
 

@@ -17,6 +17,7 @@
 #include "core/trace.hpp"
 #include "data/generators.hpp"
 #include "data/provider.hpp"
+#include "serve/server.hpp"
 #include "solvers/async_admm.hpp"
 
 namespace nadmm::runner {
@@ -131,6 +132,21 @@ core::RunResult run_solver(const std::string& solver,
                            comm::SimCluster& cluster,
                            const data::ShardedDataset& data,
                            const ExperimentConfig& config);
+
+/// The model `result` trained with `solver` on `config`'s data, whose
+/// training split `train` gives its shape: what `nadmm serve` loads.
+serve::SavedModel trained_model(const std::string& solver,
+                                const ExperimentConfig& config,
+                                const data::Dataset& train,
+                                const core::RunResult& result);
+
+/// The serving plane on `config`'s seed, device, network and thread pin,
+/// replaying `requests` arrivals under the given arrival model and batch
+/// policy with `dispatch_overhead_s` per dispatch.
+serve::ServeConfig serve_config(const ExperimentConfig& config,
+                                std::string arrival, std::string batch,
+                                std::size_t requests,
+                                double dispatch_overhead_s);
 
 /// Write the full per-iteration trace as CSV (columns match
 /// core::IterationStats).

@@ -158,15 +158,8 @@ int cmd_run(int argc, const char* const* argv) {
   }
   const std::string model_path = cli.get_string("save-model");
   if (!model_path.empty()) {
-    serve::SavedModel model;
-    model.objective = "softmax";
-    model.solver = solver;
-    model.dataset = config.dataset;
-    model.num_features = tt.train.num_features();
-    model.num_classes = tt.train.num_classes();
-    model.lambda = config.lambda;
-    model.x = result.x;
-    serve::save_model(model, model_path);
+    serve::save_model(runner::trained_model(solver, config, tt.train, result),
+                      model_path);
     std::printf("\nmodel written to %s\n", model_path.c_str());
   }
   return 0;
@@ -203,15 +196,10 @@ int cmd_serve(int argc, const char* const* argv) {
   NADMM_CHECK(!tt.test.empty(),
               "serving needs a non-empty test split (--n-test > 0)");
 
-  serve::ServeConfig config;
-  config.arrival = cli.get_string("arrival");
-  config.batch = cli.get_string("batch");
-  config.requests = static_cast<std::size_t>(cli.get_int("requests"));
-  config.seed = data_config.seed;
-  config.device = data_config.device;
-  config.network = data_config.network;
-  config.dispatch_overhead_s = cli.get_double("dispatch-overhead");
-  config.omp_threads = data_config.omp_threads;
+  const serve::ServeConfig config = runner::serve_config(
+      data_config, cli.get_string("arrival"), cli.get_string("batch"),
+      static_cast<std::size_t>(cli.get_int("requests")),
+      cli.get_double("dispatch-overhead"));
 
   std::printf("serving: model=%s (%s via %s) pool=%s rows=%zu p=%zu "
               "device=%s network=%s\n",

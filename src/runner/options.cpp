@@ -34,18 +34,31 @@ std::string fmt_double(double v) {
                         ")");
 }
 
-std::int64_t parse_int(const std::string& name, const std::string& value) {
+}  // namespace
+
+std::int64_t parse_int_in(const std::string& name, const std::string& text,
+                          std::int64_t min, std::int64_t max) {
+  std::int64_t v = min;
+  bool fits = true;
   try {
     std::size_t pos = 0;
-    const std::int64_t v = std::stoll(value, &pos);
-    if (pos != value.size()) reject(name, value, "expected an integer");
-    return v;
+    v = std::stoll(text, &pos);
+    if (pos != text.size()) reject(name, text, "expected an integer");
   } catch (const InvalidArgument&) {
     throw;
+  } catch (const std::out_of_range&) {
+    fits = false;
   } catch (const std::exception&) {
-    reject(name, value, "expected an integer");
+    reject(name, text, "expected an integer");
   }
+  if (!fits || v < min || v > max) {
+    reject(name, text, "must be in [" + std::to_string(min) + ", " +
+                           std::to_string(max) + "]");
+  }
+  return v;
 }
+
+namespace {
 
 double parse_double(const std::string& name, const std::string& value) {
   try {
@@ -81,7 +94,7 @@ OptionValidator v_parses(Parse parse) {
 
 /// The rank and the value text of a "<rank>:<value>" spec; nullopt for
 /// "none".
-std::optional<std::pair<std::int64_t, std::string>> split_rank_spec(
+std::optional<std::pair<int, std::string>> split_rank_spec(
     const std::string& name, const std::string& spec,
     const std::string& value_name) {
   if (spec == "none") return std::nullopt;
@@ -89,7 +102,7 @@ std::optional<std::pair<std::int64_t, std::string>> split_rank_spec(
   if (colon == std::string::npos) {
     reject(name, spec, "expected none or <rank>:<" + value_name + ">");
   }
-  const std::int64_t rank = parse_int(name, spec.substr(0, colon));
+  const int rank = parse_int_as<int>(name, spec.substr(0, colon));
   if (rank < 0) reject(name, spec, "rank must be >= 0");
   return std::make_pair(rank, spec.substr(colon + 1));
 }
@@ -152,7 +165,9 @@ void OptionSet::register_into(CliParser& cli) const {
     const std::string flag = "--" + spec.name;
     switch (spec.type) {
       case OptType::kInt:
-        cli.add_int(spec.name, parse_int(flag, spec.default_value), spec.help);
+        cli.add_int(spec.name,
+                    parse_int_as<std::int64_t>(flag, spec.default_value),
+                    spec.help);
         break;
       case OptType::kDouble:
         cli.add_double(spec.name, parse_double(flag, spec.default_value),
@@ -203,7 +218,7 @@ const OptionSpec* OptionSet::find(const std::string& name) const {
 
 OptionValidator v_int_min(std::int64_t min) {
   return [min](const std::string& name, const std::string& value) {
-    if (parse_int(name, value) < min) {
+    if (parse_int_as<std::int64_t>(name, value) < min) {
       reject(name, value, "must be >= " + std::to_string(min));
     }
   };
@@ -318,7 +333,7 @@ std::optional<KillSpec> parse_kill(const std::string& name,
                                    const std::string& spec) {
   const auto parts = split_rank_spec(name, spec, "epoch");
   if (!parts) return std::nullopt;
-  const KillSpec out{parts->first, parse_int(name, parts->second)};
+  const KillSpec out{parts->first, parse_int_as<int>(name, parts->second)};
   if (out.epoch < 1) reject(name, spec, "epoch must be >= 1");
   return out;
 }
@@ -382,9 +397,17 @@ Knob knob(std::string flag, T ExperimentConfig::*member, std::string help,
     } else if constexpr (std::is_same_v<T, double>) {
       config.*member = parse_double(name, text);
     } else {
-      config.*member = static_cast<T>(parse_int(name, text));
+      config.*member = parse_int_as<T>(name, text);
     }
   };
+  if constexpr (std::is_integral_v<T>) {
+    // The flag accepts only what fits the member.
+    validator = [check = std::move(validator)](const std::string& name,
+                                               const std::string& value) {
+      if (check) check(name, value);
+      static_cast<void>(parse_int_as<T>(name, value));
+    };
+  }
   const auto get = [member](const ExperimentConfig& config) {
     return to_text(config.*member, 17);
   };

@@ -20,8 +20,10 @@
 // drift from what the flags actually accept.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -103,6 +105,21 @@ OptionValidator v_arrival();      ///< serve/arrival.hpp spec
 OptionValidator v_batch_policy(); ///< serve/batching.hpp spec
 OptionValidator v_byte_size();    ///< bytes with optional k/m/g suffix
 
+/// `text` as an integer in [min, max], else InvalidArgument naming `name`.
+std::int64_t parse_int_in(const std::string& name, const std::string& text,
+                          std::int64_t min, std::int64_t max);
+
+/// `text` as a T, rejected (naming `name` and T's limit) when it does not
+/// fit: the one conversion every integer flag and `.sweep` value takes.
+template <class T>
+T parse_int_as(const std::string& name, const std::string& text) {
+  using Limits = std::numeric_limits<T>;
+  constexpr auto max = std::min<std::uint64_t>(
+      Limits::max(), std::numeric_limits<std::int64_t>::max());
+  return static_cast<T>(parse_int_in(name, text, Limits::min(),
+                                     static_cast<std::int64_t>(max)));
+}
+
 /// Parse "0", "1500000", "512m", "2g" (case-insensitive k/m/g suffix).
 /// Throws InvalidArgument naming `name` on malformed input.
 std::size_t parse_byte_size(const std::string& name, const std::string& value);
@@ -110,11 +127,11 @@ std::size_t parse_byte_size(const std::string& name, const std::string& value);
 /// "none" (nullopt) or <rank>:<slowdown> with rank >= 0, slowdown >= 1;
 /// throws InvalidArgument naming `name` otherwise (the harness checks
 /// rank < workers).
-struct StragglerSpec { std::int64_t rank; double slowdown; };
+struct StragglerSpec { int rank; double slowdown; };
 std::optional<StragglerSpec> parse_straggler(const std::string& name,
                                              const std::string& spec);
 /// "none" (nullopt) or <rank>:<epoch> with rank >= 0, epoch >= 1.
-struct KillSpec { std::int64_t rank; std::int64_t epoch; };
+struct KillSpec { int rank; int epoch; };
 std::optional<KillSpec> parse_kill(const std::string& name,
                                    const std::string& spec);
 

@@ -49,6 +49,7 @@ core::RunResult run_single_node(const std::string& name,
   flops::Scope scope;
   core::RunResult r;
   r.solver = name;
+  std::vector<double> values;  // objective after each iteration
 
   if (name == "newton-cg") {
     solvers::NewtonOptions o;
@@ -60,15 +61,8 @@ core::RunResult run_single_node(const std::string& name,
     o.record_trace = true;
     auto nr = solvers::newton_cg(objective, std::move(x0), o);
     r.x = std::move(nr.x);
-    r.iterations = nr.iterations;
     r.final_objective = nr.final_value;
-    r.trace.reserve(nr.trace.size());
-    for (std::size_t i = 0; i < nr.trace.size(); ++i) {
-      core::IterationStats it;
-      it.iteration = static_cast<int>(i) + 1;
-      it.objective = nr.trace[i].value;
-      r.trace.push_back(it);
-    }
+    for (const auto& it : nr.trace) values.push_back(it.value);
   } else {
     solvers::FirstOrderOptions o;
     o.rule = solvers::first_order_rule_from_string(name);
@@ -78,29 +72,28 @@ core::RunResult run_single_node(const std::string& name,
     o.record_trace = true;
     auto fr = solvers::first_order_minimize(objective, {}, std::move(x0), o);
     r.x = std::move(fr.x);
-    r.iterations = fr.iterations;
     r.final_objective = fr.final_value;
-    r.trace.reserve(fr.value_trace.size());
-    for (std::size_t i = 0; i < fr.value_trace.size(); ++i) {
-      core::IterationStats it;
-      it.iteration = static_cast<int>(i) + 1;
-      it.objective = fr.value_trace[i];
-      r.trace.push_back(it);
-    }
+    values = std::move(fr.value_trace);
   }
 
-  r.total_sim_seconds = device.seconds_for(scope.elapsed(), scope.elapsed_bytes());
-  r.total_wall_seconds = timer.seconds();
-  if (r.iterations > 0) {
-    r.avg_epoch_sim_seconds = r.total_sim_seconds / r.iterations;
-  }
+  // Only the last row knows the run's time and accuracy; a run that took
+  // no step keeps them on the result alone.
+  core::IterationStats last;
+  last.sim_seconds =
+      device.seconds_for(scope.elapsed(), scope.elapsed_bytes());
+  last.wall_seconds = timer.seconds();
   if (test != nullptr && !test->empty()) {
-    r.final_test_accuracy = model::accuracy(*test, r.x);
+    last.test_accuracy = model::accuracy(*test, r.x);
   }
-  if (!r.trace.empty()) {
-    r.trace.back().sim_seconds = r.total_sim_seconds;
-    r.trace.back().wall_seconds = r.total_wall_seconds;
-    r.trace.back().test_accuracy = r.final_test_accuracy;
+  r.total_sim_seconds = last.sim_seconds;
+  r.total_wall_seconds = last.wall_seconds;
+  r.final_test_accuracy = last.test_accuracy;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    core::IterationStats it = i + 1 < values.size() ? core::IterationStats{}
+                                                    : last;
+    it.iteration = static_cast<int>(i) + 1;
+    it.objective = values[i];
+    r.add_epoch(it);
   }
   return r;
 }

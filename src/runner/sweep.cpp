@@ -502,7 +502,7 @@ T parse_as(const OptionValidator& check, const std::string& who,
     } else if constexpr (std::is_same_v<T, double>) {
       return std::stod(text);
     } else {
-      return static_cast<T>(std::stoll(text));
+      return parse_int_as<T>(who, text);
     }
   }
 }
@@ -1041,15 +1041,8 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
           scenario.solver, cluster,
           shard_for_solver(scenario.solver, tt.train, &tt.test, train_config),
           train_config);
-      auto m = std::make_shared<serve::SavedModel>();
-      m->objective = "softmax";
-      m->solver = scenario.solver;
-      m->dataset = train_config.dataset;
-      m->num_features = tt.train.num_features();
-      m->num_classes = tt.train.num_classes();
-      m->lambda = train_config.lambda;
-      m->x = trained.x;
-      model = m;
+      model = std::make_shared<serve::SavedModel>(
+          trained_model(scenario.solver, train_config, tt.train, trained));
     }
     model_cache.emplace(key, model);
     return model;
@@ -1084,16 +1077,10 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
         const data::TrainTest& tt = *full;
         NADMM_CHECK(!tt.test.empty(),
                     "serving needs a non-empty test split (n_test > 0)");
-        serve::ServeConfig sc;
-        sc.arrival = scenario.arrival;
-        sc.batch = scenario.batch;
-        sc.requests = spec.serve_requests;
-        sc.seed = config.seed;
-        sc.device = config.device;
-        sc.network = config.network;
-        sc.dispatch_overhead_s = spec.dispatch_overhead_s;
-        sc.omp_threads = config.omp_threads;
-        const serve::ServeResult sr = serve::simulate(*model, tt.test, sc);
+        const serve::ServeResult sr = serve::simulate(
+            *model, tt.test,
+            serve_config(config, scenario.arrival, scenario.batch,
+                         spec.serve_requests, spec.dispatch_overhead_s));
         outcome.serve_requests = sr.requests;
         outcome.serve_batches = sr.batches;
         outcome.throughput_rps = sr.throughput_rps;

@@ -49,9 +49,120 @@ std::vector<std::uint8_t> worker_bytes(const core::AdmmWorker& worker) {
   return w.take();
 }
 
-std::vector<std::uint8_t> consensus_bytes(const core::ConsensusState& acc) {
+/// The coordinator's state (the event loop is single-threaded): every
+/// field its commit rule and reply gate read or write, and the consensus
+/// iterate z. The live handler and the kill replay drive the same
+/// methods, so replaying the commit log from a checkpoint rebuilds this
+/// state exactly.
+struct Coordinator {
+  Coordinator(int workers, std::size_t dim, double lambda, int tau)
+      : staleness(tau),
+        rounds(static_cast<std::size_t>(workers), 0),
+        worker_round(static_cast<std::size_t>(workers), 0),
+        deferred(static_cast<std::size_t>(workers), 0),
+        acc(workers, dim, lambda),
+        z(dim, 0.0) {
+    barrier.reserve(rounds.size());
+    ready.reserve(rounds.size());
+  }
+
+  /// Fold worker `w`'s contribution for `round` into the consensus;
+  /// `flagged` marks a stale-sync barrier round. True when this commit
+  /// completes an epoch (size() applied updates).
+  bool commit(int w, int round, bool flagged, std::span<const double> packed) {
+    rounds[static_cast<std::size_t>(w)] = round;
+    acc.apply(w, packed);
+    last_w = w;
+    last_flagged = flagged;
+    ++commits;
+    if (commits % rounds.size() != 0) return false;
+    ++epochs;
+    return true;
+  }
+
+  /// The ranks to answer after the last commit, in reply order. A barrier
+  /// round parks its worker until the whole cluster arrives; otherwise a
+  /// worker more than τ rounds ahead of the slowest is deferred, and the
+  /// commit may release deferred ones (rank order). Once `stopping`, it
+  /// answers the committer and every parked worker (deferred, barrier).
+  std::span<const int> gate(bool stopping) {
+    ready.clear();
+    if (stopping) {
+      ready.push_back(last_w);
+      for (std::size_t d = 0; d < deferred.size(); ++d) {
+        if (deferred[d]) ready.push_back(static_cast<int>(d));
+        deferred[d] = 0;
+      }
+      ready.insert(ready.end(), barrier.begin(), barrier.end());
+      barrier.clear();
+      return ready;
+    }
+    if (last_flagged) {
+      barrier.push_back(last_w);
+      if (barrier.size() == rounds.size()) {
+        ready.assign(barrier.begin(), barrier.end());
+        barrier.clear();
+      }
+      return ready;
+    }
+    const int min_r = *std::min_element(rounds.begin(), rounds.end());
+    const auto w = static_cast<std::size_t>(last_w);
+    if (rounds[w] - min_r <= staleness) {
+      ready.push_back(last_w);
+    } else {
+      deferred[w] = 1;
+    }
+    for (std::size_t d = 0; d < rounds.size(); ++d) {
+      if (deferred[d] && rounds[d] - min_r <= staleness) {
+        deferred[d] = 0;
+        ready.push_back(static_cast<int>(d));
+      }
+    }
+    return ready;
+  }
+
+  void save(binio::ByteWriter& w) const {
+    w.put_u64(commits);
+    w.put_i64(epochs);
+    for (const int v : rounds) w.put_i64(v);
+    for (const int v : worker_round) w.put_i64(v);
+    for (const char v : deferred) w.put_u8(static_cast<std::uint8_t>(v));
+    w.put_u64(barrier.size());
+    for (const int b : barrier) w.put_i64(b);
+    acc.save(w);
+    w.put_f64_array(z);
+  }
+
+  void restore(binio::ByteReader& r) {
+    commits = r.get_u64();
+    epochs = static_cast<int>(r.get_i64());
+    for (int& v : rounds) v = static_cast<int>(r.get_i64());
+    for (int& v : worker_round) v = static_cast<int>(r.get_i64());
+    for (char& v : deferred) v = static_cast<char>(r.get_u8());
+    barrier.resize(static_cast<std::size_t>(r.get_u64()));
+    for (int& b : barrier) b = static_cast<int>(r.get_i64());
+    acc.restore(r);
+    r.get_f64_array(z, z.size());
+  }
+
+  int staleness;                  ///< τ (INT_MAX in stale-sync mode)
+  std::vector<int> rounds;        ///< last committed round per worker
+  std::vector<int> worker_round;  ///< rounds each worker has started
+  std::vector<char> deferred;     ///< reply held by the staleness gate
+  std::vector<int> barrier;       ///< arrival order of parked sync rounds
+  std::uint64_t commits = 0;
+  int epochs = 0;
+  core::ConsensusState acc;
+  std::vector<double> z;  ///< eq. 7 iterate, refreshed after each commit
+  // The last commit, read by gate(), and its reused answer buffer.
+  int last_w = 0;
+  bool last_flagged = false;
+  std::vector<int> ready;
+};
+
+std::vector<std::uint8_t> coordinator_bytes(const Coordinator& c) {
   binio::ByteWriter w;
-  acc.save(w);
+  c.save(w);
   return w.take();
 }
 
@@ -136,16 +247,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     return hits / static_cast<double>(data.test_samples);
   };
 
-  // --- coordinator state (the event loop is single-threaded) ---
-  core::ConsensusState acc(n, dim, admm.lambda);
-  std::vector<double> z(dim, 0.0);
-  std::vector<int> rounds(static_cast<std::size_t>(n), 0);
-  std::vector<int> worker_round(static_cast<std::size_t>(n), 0);
-  std::vector<char> deferred(static_cast<std::size_t>(n), 0);
-  std::vector<int> barrier;  // arrival order of parked sync-round workers
-  barrier.reserve(static_cast<std::size_t>(n));
-  std::uint64_t commits = 0;
-  int epochs = 0;
+  Coordinator coord(n, dim, admm.lambda, staleness);
   bool stopping = false;
   double prev_sim_time = 0.0;
   std::vector<std::uint64_t>& hist = result.staleness_hist;
@@ -171,7 +273,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
   const auto do_round = [&](comm::AsyncRank& ctx) {
     const int r = ctx.rank();
     const auto packed = workers[static_cast<std::size_t>(r)]->local_step();
-    const int round = ++worker_round[static_cast<std::size_t>(r)];
+    const int round = ++coord.worker_round[static_cast<std::size_t>(r)];
     std::vector<double> payload(dim + 3);
     payload[0] = round;
     payload[1] =
@@ -180,11 +282,13 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     ctx.send(0, kTagUpdate, std::move(payload));
   };
 
-  const auto reply_z = [&](comm::AsyncRank& ctx, int to) {
-    ctx.send(to, kTagConsensus, z);
-  };
-  const auto reply_stop = [&](comm::AsyncRank& ctx, int to) {
-    ctx.send(to, kTagStop, {});
+  // Answer a worker: the fresh consensus, or stop once the run is over.
+  const auto reply = [&](comm::AsyncRank& ctx, int to) {
+    if (stopping) {
+      ctx.send(to, kTagStop, {});
+    } else {
+      ctx.send(to, kTagConsensus, coord.z);
+    }
   };
 
   // Serialize the full recoverable state: coordinator bookkeeping, the
@@ -194,21 +298,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
   const auto take_checkpoint = [&] {
     binio::ByteWriter w;
     w.put_u16(kCheckpointVersion);
-    w.put_u64(commits);
-    w.put_i64(epochs);
-    for (int r = 0; r < n; ++r) {
-      w.put_i64(rounds[static_cast<std::size_t>(r)]);
-    }
-    for (int r = 0; r < n; ++r) {
-      w.put_i64(worker_round[static_cast<std::size_t>(r)]);
-    }
-    for (int r = 0; r < n; ++r) {
-      w.put_u8(
-          static_cast<std::uint8_t>(deferred[static_cast<std::size_t>(r)]));
-    }
-    w.put_u64(barrier.size());
-    for (const int b : barrier) w.put_i64(b);
-    acc.save(w);
+    coord.save(w);
     for (int r = 0; r < n; ++r) {
       binio::ByteWriter inner;
       workers[static_cast<std::size_t>(r)]->save_checkpoint(inner);
@@ -216,7 +306,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
       w.put_bytes(inner.bytes());
     }
     checkpoint = w.take();
-    checkpoint_commits = commits;
+    checkpoint_commits = coord.commits;
     commit_log.clear();
     for (auto& log : reply_log) log.clear();
     result.add_metric("checkpoints", 1);
@@ -226,7 +316,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
 
   const auto maybe_checkpoint = [&](comm::AsyncRank& ctx) {
     if (!checkpointing || stopping) return;
-    if (commits - checkpoint_commits <
+    if (coord.commits - checkpoint_commits <
         static_cast<std::uint64_t>(options.checkpoint_every)) {
       return;
     }
@@ -253,18 +343,8 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     NADMM_CHECK(version == kCheckpointVersion,
                 "solver checkpoint: unsupported version " +
                     std::to_string(version));
-    const std::uint64_t commits0 = r.get_u64();
-    const int epochs0 = static_cast<int>(r.get_i64());
-    std::vector<int> rounds0(static_cast<std::size_t>(n), 0);
-    for (auto& v : rounds0) v = static_cast<int>(r.get_i64());
-    std::vector<int> worker_round0(static_cast<std::size_t>(n), 0);
-    for (auto& v : worker_round0) v = static_cast<int>(r.get_i64());
-    std::vector<char> deferred0(static_cast<std::size_t>(n), 0);
-    for (auto& v : deferred0) v = static_cast<char>(r.get_u8());
-    std::vector<int> barrier0(static_cast<std::size_t>(r.get_u64()), 0);
-    for (auto& v : barrier0) v = static_cast<int>(r.get_i64());
-    core::ConsensusState acc2(n, dim, admm.lambda);
-    acc2.restore(r);
+    Coordinator replica(n, dim, admm.lambda, staleness);
+    replica.restore(r);
 
     // Rebuild the victim worker over the same shard/config and replay
     // every consensus delivery it applied since the checkpoint.
@@ -301,55 +381,19 @@ core::RunResult async_admm(comm::SimCluster& cluster,
 
     if (victim == 0) {
       // The coordinator died too: replay the commit log through the same
-      // per-update logic the live handler ran, then prove every piece of
-      // coordinator state matches before adopting the rebuilt copy.
-      std::vector<int> rounds2 = rounds0;
-      std::vector<char> deferred2 = deferred0;
-      std::vector<int> barrier2 = barrier0;
-      std::uint64_t commits2 = commits0;
-      int epochs2 = epochs0;
+      // commit rule and gate the live handler ran, then prove the rebuilt
+      // state and iterate byte-identical before adopting them.
       for (const CommitEntry& e : commit_log) {
-        rounds2[static_cast<std::size_t>(e.w)] = e.round;
-        acc2.apply(e.w, e.packed);
-        ++commits2;
-        if (commits2 % static_cast<std::uint64_t>(n) == 0) ++epochs2;
-        if (e.flagged) {
-          barrier2.push_back(e.w);
-          if (static_cast<int>(barrier2.size()) == n) barrier2.clear();
-          continue;
-        }
-        const int min_r = *std::min_element(rounds2.begin(), rounds2.end());
-        if (rounds2[static_cast<std::size_t>(e.w)] - min_r > staleness) {
-          deferred2[static_cast<std::size_t>(e.w)] = 1;
-        }
-        for (int d = 0; d < n; ++d) {
-          if (deferred2[static_cast<std::size_t>(d)] &&
-              rounds2[static_cast<std::size_t>(d)] - min_r <= staleness) {
-            deferred2[static_cast<std::size_t>(d)] = 0;
-          }
-        }
+        static_cast<void>(replica.commit(e.w, e.round, e.flagged, e.packed));
+        static_cast<void>(replica.gate(/*stopping=*/false));
       }
-      std::vector<int> worker_round2 = worker_round0;
-      for (int rank = 0; rank < n; ++rank) {
-        worker_round2[static_cast<std::size_t>(rank)] += static_cast<int>(
-            reply_log[static_cast<std::size_t>(rank)].size());
+      for (std::size_t i = 0; i < reply_log.size(); ++i) {
+        replica.worker_round[i] += static_cast<int>(reply_log[i].size());
       }
-      NADMM_CHECK(consensus_bytes(acc2) == consensus_bytes(acc),
-                  "async_admm kill-rejoin: consensus replay diverged");
-      NADMM_CHECK(rounds2 == rounds && worker_round2 == worker_round &&
-                      deferred2 == deferred && barrier2 == barrier &&
-                      commits2 == commits && epochs2 == epochs,
+      replica.acc.compute_z(replica.z);
+      NADMM_CHECK(coordinator_bytes(replica) == coordinator_bytes(coord),
                   "async_admm kill-rejoin: coordinator replay diverged");
-      std::vector<double> z2(dim, 0.0);
-      acc2.compute_z(z2);
-      NADMM_CHECK(z2 == z,
-                  "async_admm kill-rejoin: consensus iterate diverged");
-      acc = std::move(acc2);
-      z = std::move(z2);
-      rounds = std::move(rounds2);
-      worker_round = std::move(worker_round2);
-      deferred = std::move(deferred2);
-      barrier = std::move(barrier2);
+      coord = std::move(replica);
     }
     result.add_metric("restores", 1);
     telem::count("restores");
@@ -361,7 +405,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
                                       const comm::AsyncMessage& msg) {
     const int w = msg.from;
     if (stopping) {
-      reply_stop(ctx, w);
+      reply(ctx, w);
       return;
     }
     // Deferred to the start of the next update so the kill lands on a
@@ -370,58 +414,47 @@ core::RunResult async_admm(comm::SimCluster& cluster,
     // Observed staleness: completed rounds ahead of the slowest worker
     // when this update's round started. The reply gate bounded it then,
     // and the minimum only grows, so hist's top bucket stays <= τ.
+    const auto& rounds = coord.rounds;
     const int min_before = *std::min_element(rounds.begin(), rounds.end());
     const auto s = static_cast<std::size_t>(
         rounds[static_cast<std::size_t>(w)] - min_before);
     if (hist.size() <= s) hist.resize(s + 1, 0);
     ++hist[s];
 
-    rounds[static_cast<std::size_t>(w)] = static_cast<int>(msg.payload[0]);
+    const int round = static_cast<int>(msg.payload[0]);
     const bool flagged = msg.payload[1] != 0.0;
-    acc.apply(w, std::span<const double>(msg.payload).subspan(2));
-    acc.compute_z(z);
-    ++commits;
+    const auto packed = std::span<const double>(msg.payload).subspan(2);
+    const bool epoch_end = coord.commit(w, round, flagged, packed);
+    coord.acc.compute_z(coord.z);
     if (checkpointing) {
-      commit_log.push_back(
-          {w, rounds[static_cast<std::size_t>(w)], flagged,
-           std::vector<double>(msg.payload.begin() + 2, msg.payload.end())});
+      commit_log.push_back({w, round, flagged,
+                            std::vector<double>(packed.begin(), packed.end())});
     }
 
-    if (commits % static_cast<std::uint64_t>(n) == 0) {
+    if (epoch_end) {
       // --- epoch diagnostics on the paused clock ---
       ctx.clock().pause();
-      ++epochs;
-      double objective = diag_objective(z);
+      core::IterationStats it;
+      it.iteration = coord.epochs;
+      it.objective = diag_objective(coord.z);
       if (admm.lambda > 0.0) {
-        objective += 0.5 * admm.lambda * la::nrm2_sq(z);
+        it.objective += 0.5 * admm.lambda * la::nrm2_sq(coord.z);
       }
-      const double accuracy = eval_accuracy ? diag_accuracy(z) : -1.0;
-      const double sim_time = ctx.now();
-      if (admm.record_trace) {
-        core::IterationStats it;
-        it.iteration = epochs;
-        it.objective = objective;
-        it.test_accuracy = accuracy;
-        it.sim_seconds = sim_time;
-        it.wall_seconds = wall.seconds();
-        it.epoch_sim_seconds = sim_time - prev_sim_time;
-        it.comm_sim_seconds = ctx.clock().comm_seconds();
-        it.rho_mean = acc.rho_sum() / n;
-        result.trace.push_back(it);
-      }
-      prev_sim_time = sim_time;
-      result.iterations = epochs;
-      result.final_objective = objective;
-      result.final_test_accuracy = accuracy;
-      result.total_sim_seconds = sim_time;
-      result.total_wall_seconds = wall.seconds();
-      if (epochs >= admm.max_iterations ||
+      it.test_accuracy = eval_accuracy ? diag_accuracy(coord.z) : -1.0;
+      it.sim_seconds = ctx.now();
+      it.wall_seconds = wall.seconds();
+      it.epoch_sim_seconds = it.sim_seconds - prev_sim_time;
+      it.comm_sim_seconds = ctx.clock().comm_seconds();
+      it.rho_mean = coord.acc.rho_sum() / n;
+      result.add_epoch(it);
+      prev_sim_time = it.sim_seconds;
+      if (coord.epochs >= admm.max_iterations ||
           (admm.objective_target > 0.0 &&
-           objective <= admm.objective_target)) {
+           it.objective <= admm.objective_target)) {
         stopping = true;
       }
       if (options.kill_rank >= 0 && !killed && !stopping &&
-          epochs == options.kill_epoch) {
+          coord.epochs == options.kill_epoch) {
         pending_kill = true;
       }
       // Epoch boundary: sample every registered telemetry counter as a
@@ -430,44 +463,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
       ctx.clock().resume();
     }
 
-    if (stopping) {
-      reply_stop(ctx, w);
-      for (int d = 0; d < n; ++d) {
-        if (deferred[static_cast<std::size_t>(d)]) {
-          deferred[static_cast<std::size_t>(d)] = 0;
-          reply_stop(ctx, d);
-        }
-      }
-      for (const int b : barrier) reply_stop(ctx, b);
-      barrier.clear();
-      return;
-    }
-
-    if (flagged) {
-      barrier.push_back(w);
-      if (static_cast<int>(barrier.size()) == n) {
-        for (const int b : barrier) reply_z(ctx, b);
-        barrier.clear();
-      }
-      maybe_checkpoint(ctx);
-      return;
-    }
-    const int min_r = *std::min_element(rounds.begin(), rounds.end());
-    if (rounds[static_cast<std::size_t>(w)] - min_r <= staleness) {
-      reply_z(ctx, w);
-    } else {
-      deferred[static_cast<std::size_t>(w)] = 1;
-    }
-    // This commit may have raised the minimum round; release any parked
-    // worker whose lead is back within the bound (rank order — the loop
-    // is deterministic either way, but keep replies canonical).
-    for (int d = 0; d < n; ++d) {
-      if (deferred[static_cast<std::size_t>(d)] &&
-          rounds[static_cast<std::size_t>(d)] - min_r <= staleness) {
-        deferred[static_cast<std::size_t>(d)] = 0;
-        reply_z(ctx, d);
-      }
-    }
+    for (const int d : coord.gate(stopping)) reply(ctx, d);
     maybe_checkpoint(ctx);
   };
 
@@ -481,7 +477,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
           case kTagConsensus: {
             if (checkpointing) {
               reply_log[static_cast<std::size_t>(ctx.rank())].push_back(
-                  {worker_round[static_cast<std::size_t>(ctx.rank())] - 1,
+                  {coord.worker_round[static_cast<std::size_t>(ctx.rank())] - 1,
                    msg.payload});
             }
             auto& worker = *workers[static_cast<std::size_t>(ctx.rank())];
@@ -489,7 +485,7 @@ core::RunResult async_admm(comm::SimCluster& cluster,
             std::copy(msg.payload.begin(), msg.payload.end(),
                       worker.z().begin());
             worker.apply_consensus(
-                worker_round[static_cast<std::size_t>(ctx.rank())] - 1);
+                coord.worker_round[static_cast<std::size_t>(ctx.rank())] - 1);
             do_round(ctx);
             break;
           }
@@ -501,17 +497,13 @@ core::RunResult async_admm(comm::SimCluster& cluster,
         }
       });
 
-  result.x = z;
+  result.x = coord.z;
   result.rank_wait_seconds.reserve(reports.size());
   for (const auto& r : reports) {
     result.rank_wait_seconds.push_back(r.wait_seconds);
     result.add_metric("retransmits", r.retransmits);
     result.add_metric("gaps_detected", r.gaps_detected);
     result.add_metric("messages_dropped", r.messages_dropped);
-  }
-  if (result.iterations > 0) {
-    result.avg_epoch_sim_seconds =
-        result.total_sim_seconds / result.iterations;
   }
   return result;
 }

@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -131,9 +132,13 @@ const CliParser::Option& CliParser::find(const std::string& name,
 std::int64_t CliParser::get_int(const std::string& name) const {
   const Option& opt = find(name, Kind::kInt);
   char* end = nullptr;
+  errno = 0;
   const std::int64_t v = std::strtoll(opt.value.c_str(), &end, 10);
   NADMM_CHECK(end != nullptr && *end == '\0',
               "option --" + name + " expects an integer, got '" + opt.value + "'");
+  // strtoll saturates out-of-range text; never hand back a clamped value.
+  NADMM_CHECK(errno != ERANGE, "option --" + name + ": '" + opt.value +
+                                   "' does not fit a 64-bit integer");
   return v;
 }
 

@@ -178,26 +178,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CgProperty, testing::Values(1u, 2u, 3u, 4u));
 
 class CollectiveProperty : public testing::TestWithParam<int> {};
 
-TEST_P(CollectiveProperty, GatherScatterRoundTrip) {
-  // scatter(gather(x)) must reproduce every rank's contribution.
-  const int n = GetParam();
-  comm::SimCluster cluster(n, la::DeviceModel{"t", 1.0},
-                           comm::ideal_network());
-  cluster.run([&](comm::RankCtx& ctx) {
-    std::vector<double> mine(13);
-    Rng rng(static_cast<std::uint64_t>(ctx.rank()) + 100);
-    for (double& v : mine) v = rng.normal();
-    const std::vector<double> original = mine;
-    std::vector<double> all;
-    ctx.gather(mine, all, 0);
-    std::vector<double> back(13);
-    ctx.scatter(all, back, 0);
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      EXPECT_DOUBLE_EQ(back[i], original[i]);
-    }
-  });
-}
-
 TEST_P(CollectiveProperty, AllreduceLinearity) {
   // allreduce(αx + βy) == α·allreduce(x) + β·allreduce(y).
   const int n = GetParam();

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "runner/registry.hpp"
 #include "support/check.hpp"
@@ -177,6 +179,31 @@ TEST(SolverRegistry, RunsSingleNodeSolverWithFlopDerivedTime) {
   EXPECT_LE(r.trace.back().objective, r.trace.front().objective);
   EXPECT_GT(r.total_sim_seconds, 0.0);
   EXPECT_GE(r.final_test_accuracy, 0.0);
+}
+
+// Every solver's scalar results are its last trace row: one epoch ledger
+// (RunResult::add_epoch) writes both.
+TEST(SolverRegistry, EverySolverResultAgreesWithItsTrace) {
+  auto c = tiny_config();
+  c.dane_epochs = 2;
+  c.svrg_outer = 2;
+  const auto tt = make_data(c);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const auto& info : SolverRegistry::instance().list()) {
+    SCOPED_TRACE(info.name);
+    auto cluster = make_cluster(c);
+    const auto r = SolverRegistry::instance().run(
+        info.name, cluster, shard_for_solver(info.name, tt.train, &tt.test, c),
+        c);
+    ASSERT_GT(r.iterations, 0);
+    ASSERT_EQ(r.trace.size(), static_cast<std::size_t>(r.iterations));
+    const auto& last = r.trace.back();
+    EXPECT_EQ(bits(last.objective), bits(r.final_objective));
+    EXPECT_EQ(bits(last.test_accuracy), bits(r.final_test_accuracy));
+    EXPECT_EQ(bits(last.sim_seconds), bits(r.total_sim_seconds));
+    EXPECT_EQ(bits(r.avg_epoch_sim_seconds),
+              bits(r.total_sim_seconds / r.iterations));
+  }
 }
 
 TEST(SolverRegistry, RunThrowsOnUnknownName) {

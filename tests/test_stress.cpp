@@ -37,8 +37,10 @@ TEST(Stress, SixteenRankCollectiveStorm) {
       EXPECT_DOUBLE_EQ(check, v[0]);  // allreduce made v identical
       if (round % 10 == 0) {
         ctx.gather(std::span<const double>(v).subspan(0, 16), gathered, 0);
-        ctx.allgather(std::span<const double>(v).subspan(0, 4), all);
-        ASSERT_EQ(all.size(), 64u);
+        all.resize(64);
+        ctx.gather(std::span<const double>(v).subspan(0, 4), all, 0);
+        ctx.broadcast(all, 0);
+        EXPECT_DOUBLE_EQ(all[63], v[3]);  // every rank holds the same v
       }
     }
   });

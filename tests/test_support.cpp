@@ -159,6 +159,10 @@ TEST(Cli, MalformedIntThrowsOnAccess) {
   const char* argv[] = {"prog", "--count", "xyz"};
   ASSERT_TRUE(cli.parse(3, argv));
   EXPECT_THROW(static_cast<void>(cli.get_int("count")), InvalidArgument);
+  // Out-of-range text is an error, not a value clamped to INT64_MAX.
+  const char* huge[] = {"prog", "--count", "99999999999999999999"};
+  ASSERT_TRUE(cli.parse(3, huge));
+  EXPECT_THROW(static_cast<void>(cli.get_int("count")), InvalidArgument);
 }
 
 TEST(Cli, MissingValueThrows) {

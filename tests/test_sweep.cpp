@@ -117,6 +117,12 @@ TEST(SweepSpecParsing, SpecValuesAndRunFlagsAgree) {
       {"seed", "seed", "-3"},             {"stragglers", "straggler", "1:0.5"},
       {"penalties", "penalty", "bogus"},  {"lambdas", "lambda", "-1"},
       {"kill", "kill", "x"},
+      // Integers that do not fit their field (int: 2^32 + 1 would
+      // narrow to 1).
+      {"workers", "workers", "4294967297"},
+      {"cg_iterations", "cg-iterations", "4294967297"},
+      {"kill", "kill", "4294967297:2"},
+      {"seed", "seed", "99999999999999999999"},  // beyond int64
   };
   for (const Case& c : cases) {
     SweepSpec spec;
