@@ -1,6 +1,7 @@
 #include "comm/wire.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "support/binio.hpp"
@@ -83,6 +84,13 @@ Frame decode(std::span<const std::uint8_t> bytes) {
   const std::uint64_t payload_len = r.get_u64();
   const std::uint64_t expected_sum = r.get_u64();
 
+  // frame_bytes wraps past 2^64 for absurd lengths; such a header can
+  // never describe the frame it arrived in.
+  if (payload_len >
+      (std::numeric_limits<std::uint64_t>::max() - kHeaderBytes) / 8) {
+    reject("length overflow — header declares " + std::to_string(payload_len) +
+           " doubles");
+  }
   if (bytes.size() != frame_bytes(payload_len)) {
     reject("length mismatch — header declares " + std::to_string(payload_len) +
            " doubles (" + std::to_string(frame_bytes(payload_len)) +

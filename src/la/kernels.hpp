@@ -24,16 +24,20 @@
 // bench_kernels, which is what BENCH_kernels.json and the CI perf-smoke
 // gate measure against.
 //
-// The inner loops are written against the compile-time SIMD backend in
-// la/simd.hpp (AVX-512 / AVX2 / std::experimental::simd / scalar).
-// Vector lanes only ever span independent output elements and no path
-// fuses a multiply-add, so every backend is bit-identical to the scalar
-// engine — kernels::scalar exports the forced-scalar instantiation as
-// the oracle the ISA parity tests compare against.
+// The engine is compiled once per rung of an ISA ladder (avx512 / avx2
+// / std::experimental::simd / scalar; la/engine.hpp) and the public
+// kernels run at the rung chosen at first use: the widest one this CPU
+// supports, or the one NADMM_ISA names. Vector lanes only ever span
+// independent output elements and no path fuses a multiply-add, so
+// every rung is bit-identical to the scalar engine — kernels::scalar
+// exports the scalar rung as the oracle the ISA parity tests compare
+// against.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string_view>
+#include <vector>
 
 #include "la/dense_matrix.hpp"
 #include "la/sparse_matrix.hpp"
@@ -94,16 +98,74 @@ double softmax_forward(const DenseMatrix& scores,
                        std::span<const std::int32_t> labels,
                        DenseMatrix& probs, std::span<double> lse);
 
-/// Name of the SIMD backend the engine was compiled against:
-/// "avx512" | "avx2" | "stdsimd" | "scalar". Recorded into bench JSON
-/// context and useful when reading parity-test failures from CI legs.
+namespace engine {
+struct Table;
+}
+
+/// One rung of the ISA dispatch ladder: the engine instantiated for one
+/// vector width. The kernels validate shapes like the free functions
+/// above (InvalidArgument) and are bit-identical on every rung.
+class Rung {
+ public:
+  constexpr explicit Rung(const engine::Table& table) : table_(&table) {}
+
+  /// "avx512" | "avx2" | "stdsimd" | "scalar".
+  [[nodiscard]] const char* isa() const;
+
+  void gemm_nn(double alpha, DenseView a, const DenseMatrix& b, double beta,
+               DenseMatrix& c) const;
+  void gemm_tn(double alpha, DenseView a, const DenseMatrix& b, double beta,
+               DenseMatrix& c) const;
+  void gemv_t(double alpha, DenseView a, std::span<const double> x,
+              double beta, std::span<double> y) const;
+  void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
+               double beta, DenseMatrix& c) const;
+  double softmax_forward(const DenseMatrix& scores,
+                         std::span<const std::int32_t> labels,
+                         DenseMatrix& probs, std::span<double> lse) const;
+
+  /// Host-peak probe on this rung's vectors: `steps` rounds of unfused
+  /// mul + add over twelve independent chains, the engine's own
+  /// arithmetic. Returns the flops performed.
+  double mul_add_probe(std::size_t steps) const;
+
+ private:
+  const engine::Table* table_;
+};
+
+/// The CPU features the x86 rungs need.
+struct CpuFeatures {
+  bool avx2 = false;
+  bool avx512f = false;
+};
+
+/// What this CPU reports (__builtin_cpu_supports; none off x86).
+CpuFeatures host_cpu();
+
+/// The rung a NADMM_ISA value selects on `cpu`: "avx512", "avx2",
+/// "stdsimd" or "scalar", or the widest rung `cpu` runs when `request`
+/// is empty. Throws InvalidArgument, naming the request, for an unknown
+/// rung, one this build did not compile, or one `cpu` lacks the
+/// feature for — never a rung that would fault on this CPU.
+Rung select_rung(std::string_view request, CpuFeatures cpu);
+
+/// Every rung this build compiled and `cpu` runs, widest first; the
+/// last is always "scalar".
+std::vector<Rung> supported_rungs(CpuFeatures cpu);
+
+/// The rung the free kernels above run at: select_rung(NADMM_ISA,
+/// host_cpu()), chosen once, at first use. With a bad NADMM_ISA every
+/// call throws select_rung's named error.
+Rung active_rung();
+
+/// active_rung().isa(). Recorded into bench JSON context and useful when
+/// reading parity-test failures.
 const char* active_isa();
 
-/// Forced-scalar instantiation of the engine (same blocking, same
-/// two-phase reductions, 1-lane backend). This is the parity oracle for
-/// the ISA dispatch ladder: every vector backend must produce output
-/// bit-identical to these at every thread count. Not a seed copy — for
-/// that, see kernels::reference below.
+/// The scalar rung (same blocking, same two-phase reductions, 1 lane).
+/// This is the parity oracle for the ISA dispatch ladder: every vector
+/// rung must produce output bit-identical to these at every thread
+/// count. Not a seed copy — for that, see kernels::reference below.
 namespace scalar {
 
 void gemm_nn(double alpha, DenseView a, const DenseMatrix& b,

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "la/kernels.hpp"
 #include "runner/harness.hpp"
 #include "runner/options.hpp"
 #include "runner/registry.hpp"
@@ -352,6 +353,9 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   try {
+    // Resolve the kernel ISA rung up front: a bad NADMM_ISA stops here
+    // with its named error, before any rank thread or sweep worker runs.
+    static_cast<void>(nadmm::la::kernels::active_rung());
     if (command == "list") return cmd_list(argc - 1, argv + 1);
     if (command == "run") return cmd_run(argc - 1, argv + 1);
     if (command == "serve") return cmd_serve(argc - 1, argv + 1);

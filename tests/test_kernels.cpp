@@ -10,8 +10,13 @@
 #include <omp.h>
 #endif
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.hpp"
@@ -557,46 +562,113 @@ TEST(ShardViews, EmptyAndFullRangeViewsBehave) {
 
 // ------------------------------------------------------ ISA dispatch parity
 //
-// The engine's SIMD contract (la/simd.hpp): lanes only span independent
-// output elements and nothing fuses a multiply-add, so whatever backend
-// the build selected — avx512, avx2, stdsimd or scalar — must be
-// BIT-identical to the forced-scalar instantiation kernels::scalar at
-// every thread count. CI compiles these same tests with -mavx2 and with
-// -DNADMM_FORCE_SCALAR, so the ladder's rungs are each exercised
-// somewhere even when the default runner has no wide vectors.
+// The engine's lane contract (la/engine.hpp): lanes only span independent
+// output elements and nothing fuses a multiply-add, so every rung —
+// avx512, avx2, stdsimd, scalar — must be BIT-identical to the scalar
+// oracle kernels::scalar at every thread count. Every rung is compiled
+// into this one binary, so each parity test runs every rung this host
+// supports.
 
-TEST(IsaDispatch, ActiveIsaNameIsOnTheLadder) {
-  const std::string isa = kernels::active_isa();
-  EXPECT_TRUE(isa == "avx512" || isa == "avx2" || isa == "stdsimd" ||
-              isa == "scalar")
-      << isa;
-#ifdef NADMM_FORCE_SCALAR
-  EXPECT_EQ(isa, "scalar");
-#endif
+std::vector<kernels::Rung> host_rungs() {
+  return kernels::supported_rungs(kernels::host_cpu());
 }
 
-TEST(IsaDispatch, GemmNnActiveBackendMatchesScalarBitwise) {
+std::string select_error(std::string_view request, kernels::CpuFeatures cpu) {
+  try {
+    static_cast<void>(kernels::select_rung(request, cpu));
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(IsaDispatch, ActiveRungIsTheWidestTheHostRunsUnlessOverridden) {
+  const std::string isa = kernels::active_isa();
+  const char* env = std::getenv("NADMM_ISA");
+  if (env != nullptr && *env != '\0') {
+    EXPECT_EQ(isa, env);
+  } else {
+    EXPECT_EQ(isa, host_rungs().front().isa());
+  }
+  EXPECT_EQ(std::string(host_rungs().back().isa()), "scalar");
+}
+
+TEST(IsaDispatch, EmptyRequestPicksTheWidestRungTheCpuRuns) {
+  for (const kernels::CpuFeatures cpu :
+       {kernels::CpuFeatures{}, kernels::CpuFeatures{true, false},
+        kernels::CpuFeatures{true, true}}) {
+    const auto rungs = kernels::supported_rungs(cpu);
+    ASSERT_FALSE(rungs.empty());
+    EXPECT_STREQ(kernels::select_rung("", cpu).isa(), rungs.front().isa());
+    for (const auto& rung : rungs) {
+      EXPECT_STREQ(kernels::select_rung(rung.isa(), cpu).isa(), rung.isa());
+    }
+  }
+  // A CPU without AVX2 never gets an x86 vector rung.
+  const std::string narrow = kernels::select_rung("", {}).isa();
+  EXPECT_TRUE(narrow == "stdsimd" || narrow == "scalar") << narrow;
+  // The ladder runs widest first.
+  const auto all = kernels::supported_rungs({true, true});
+  const std::vector<std::string> ladder = {"avx512", "avx2", "stdsimd",
+                                           "scalar"};
+  auto next = ladder.begin();
+  for (const auto& rung : all) {
+    next = std::find(next, ladder.end(), rung.isa());
+    ASSERT_NE(next, ladder.end()) << rung.isa() << " out of ladder order";
+  }
+}
+
+TEST(IsaDispatch, UnknownRungIsANamedError) {
+  for (const char* bad : {"avx9", "AVX2", "sse2", " avx2"}) {
+    const std::string err = select_error(bad, kernels::host_cpu());
+    EXPECT_NE(err.find(std::string("NADMM_ISA=") + bad), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("unknown ISA rung"), std::string::npos) << err;
+  }
+}
+
+TEST(IsaDispatch, RungTheCpuLacksIsANamedErrorNotAFault) {
+  // Whether or not this build compiled the x86 rungs, asking for one on a
+  // CPU without the feature must throw before any rung code runs.
+  const kernels::CpuFeatures none{};
+  const kernels::CpuFeatures avx2_only{true, false};
+  for (const auto& [request, cpu] :
+       {std::pair{"avx2", none}, std::pair{"avx512", none},
+        std::pair{"avx512", avx2_only}}) {
+    const std::string err = select_error(request, cpu);
+    EXPECT_NE(err.find(std::string("NADMM_ISA=") + request),
+              std::string::npos)
+        << err;
+    EXPECT_TRUE(err.find("this CPU lacks") != std::string::npos ||
+                err.find("this build has no") != std::string::npos)
+        << err;
+  }
+}
+
+TEST(IsaDispatch, GemmNnEveryRungMatchesScalarBitwise) {
   Rng rng(61);
   const std::size_t shapes[][3] = {{1, 1, 1},   {5, 7, 3},   {64, 129, 9},
                                    {1, 300, 1}, {257, 2, 8}, {4, 8, 8},
                                    {6, 5, 16},  {7, 3, 17},  {3, 200, 23},
                                    {100, 1, 9}};
-  for (const int threads : {1, 2, 3, 8}) {
-    ThreadGuard guard(threads);
-    for (const auto& sh : shapes) {
-      const std::size_t m = sh[0], k = sh[1], n = sh[2];
-      const auto a = random_matrix(m, k, rng);
-      const auto b = random_matrix(k, n, rng);
-      const auto c0 = random_matrix(m, n, rng);
-      for (double alpha : kAlphas) {
-        for (double beta : kBetas) {
-          DenseMatrix c = c0, c_sc = c0;
-          gemm_nn(alpha, a, b, beta, c);
-          kernels::scalar::gemm_nn(alpha, a, b, beta, c_sc);
-          for (std::size_t e = 0; e < c.size(); ++e) {
-            ASSERT_EQ(c.data()[e], c_sc.data()[e])
-                << kernels::active_isa() << " m=" << m << " k=" << k
-                << " n=" << n << " t=" << threads;
+  for (const auto& rung : host_rungs()) {
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      for (const auto& sh : shapes) {
+        const std::size_t m = sh[0], k = sh[1], n = sh[2];
+        const auto a = random_matrix(m, k, rng);
+        const auto b = random_matrix(k, n, rng);
+        const auto c0 = random_matrix(m, n, rng);
+        for (double alpha : kAlphas) {
+          for (double beta : kBetas) {
+            DenseMatrix c = c0, c_sc = c0;
+            rung.gemm_nn(alpha, a, b, beta, c);
+            kernels::scalar::gemm_nn(alpha, a, b, beta, c_sc);
+            for (std::size_t e = 0; e < c.size(); ++e) {
+              ASSERT_EQ(c.data()[e], c_sc.data()[e])
+                  << rung.isa() << " m=" << m << " k=" << k << " n=" << n
+                  << " t=" << threads;
+            }
           }
         }
       }
@@ -604,33 +676,36 @@ TEST(IsaDispatch, GemmNnActiveBackendMatchesScalarBitwise) {
   }
 }
 
-TEST(IsaDispatch, GemmTnAndGemvTActiveBackendMatchScalarBitwise) {
+TEST(IsaDispatch, GemmTnAndGemvTEveryRungMatchesScalarBitwise) {
   Rng rng(62);
   const std::size_t shapes[][3] = {{1, 1, 1},  {6, 4, 3},   {200, 33, 9},
                                    {1, 5, 2},  {513, 7, 1}, {3, 1, 19},
-                                   {50, 64, 8}};
-  for (const int threads : {1, 2, 3, 8}) {
-    ThreadGuard guard(threads);
-    for (const auto& sh : shapes) {
-      const std::size_t k = sh[0], m = sh[1], n = sh[2];
-      const auto a = random_matrix(k, m, rng);
-      const auto b = random_matrix(k, n, rng);
-      const auto c0 = random_matrix(m, n, rng);
-      const auto x = random_vec(k, rng);
-      const auto y0 = random_vec(m, rng);
-      for (double alpha : kAlphas) {
-        for (double beta : kBetas) {
-          DenseMatrix c = c0, c_sc = c0;
-          gemm_tn(alpha, a, b, beta, c);
-          kernels::scalar::gemm_tn(alpha, a, b, beta, c_sc);
-          for (std::size_t e = 0; e < c.size(); ++e) {
-            ASSERT_EQ(c.data()[e], c_sc.data()[e]) << "gemm_tn t=" << threads;
-          }
-          auto y = y0, y_sc = y0;
-          gemv_t(alpha, a, x, beta, y);
-          kernels::scalar::gemv_t(alpha, a, x, beta, y_sc);
-          for (std::size_t j = 0; j < m; ++j) {
-            ASSERT_EQ(y[j], y_sc[j]) << "gemv_t t=" << threads;
+                                   {50, 64, 8}, {0, 5, 3}};
+  for (const auto& rung : host_rungs()) {
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      for (const auto& sh : shapes) {
+        const std::size_t k = sh[0], m = sh[1], n = sh[2];
+        const auto a = random_matrix(k, m, rng);
+        const auto b = random_matrix(k, n, rng);
+        const auto c0 = random_matrix(m, n, rng);
+        const auto x = random_vec(k, rng);
+        const auto y0 = random_vec(m, rng);
+        for (double alpha : kAlphas) {
+          for (double beta : kBetas) {
+            DenseMatrix c = c0, c_sc = c0;
+            rung.gemm_tn(alpha, a, b, beta, c);
+            kernels::scalar::gemm_tn(alpha, a, b, beta, c_sc);
+            for (std::size_t e = 0; e < c.size(); ++e) {
+              ASSERT_EQ(c.data()[e], c_sc.data()[e])
+                  << rung.isa() << " gemm_tn t=" << threads;
+            }
+            auto y = y0, y_sc = y0;
+            rung.gemv_t(alpha, a, x, beta, y);
+            kernels::scalar::gemv_t(alpha, a, x, beta, y_sc);
+            for (std::size_t j = 0; j < m; ++j) {
+              ASSERT_EQ(y[j], y_sc[j]) << rung.isa() << " gemv_t t=" << threads;
+            }
           }
         }
       }
@@ -638,28 +713,35 @@ TEST(IsaDispatch, GemmTnAndGemvTActiveBackendMatchScalarBitwise) {
   }
 }
 
-TEST(IsaDispatch, SpmmTnActiveBackendMatchesScalarBitwiseBothStrategies) {
+TEST(IsaDispatch, SpmmTnEveryRungMatchesScalarBitwiseBothStrategies) {
   Rng rng(63);
   // Narrow output (two-phase dense reduction) and wide output (CSC
-  // gather with software prefetch) — both strategies must be clean.
+  // gather with software prefetch) — both strategies must be clean, on
+  // whole matrices and on shard views.
   std::vector<CsrMatrix> mats;
   mats.push_back(random_csr(50, 20, 0.15, rng));
   mats.push_back(random_csr(500, 300, 0.05, rng));
   mats.push_back(random_csr(60, 800, 0.01, rng));   // wide, gather path
   mats.push_back(random_csr(300, 2000, 0.01, rng)); // wide, many columns
-  for (const int threads : {1, 2, 3, 8}) {
-    ThreadGuard guard(threads);
-    for (const auto& sp : mats) {
-      const auto b = random_matrix(sp.rows(), 5, rng);
-      const auto c0 = random_matrix(sp.cols(), 5, rng);
-      for (double alpha : kAlphas) {
-        for (double beta : kBetas) {
-          DenseMatrix c = c0, c_sc = c0;
-          kernels::spmm_tn(alpha, sp, b, beta, c);
-          kernels::scalar::spmm_tn(alpha, sp, b, beta, c_sc);
-          for (std::size_t e = 0; e < c.size(); ++e) {
-            ASSERT_EQ(c.data()[e], c_sc.data()[e])
-                << sp.rows() << "x" << sp.cols() << " t=" << threads;
+  for (const auto& rung : host_rungs()) {
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      for (const auto& sp : mats) {
+        for (const CsrView view : {CsrView(sp), sp.view(sp.rows() / 3,
+                                                        sp.rows() - 5)}) {
+          const auto b = random_matrix(view.rows(), 5, rng);
+          const auto c0 = random_matrix(sp.cols(), 5, rng);
+          for (double alpha : kAlphas) {
+            for (double beta : kBetas) {
+              DenseMatrix c = c0, c_sc = c0;
+              rung.spmm_tn(alpha, view, b, beta, c);
+              kernels::scalar::spmm_tn(alpha, view, b, beta, c_sc);
+              for (std::size_t e = 0; e < c.size(); ++e) {
+                ASSERT_EQ(c.data()[e], c_sc.data()[e])
+                    << rung.isa() << " " << view.rows() << "x" << sp.cols()
+                    << " t=" << threads;
+              }
+            }
           }
         }
       }
@@ -667,29 +749,56 @@ TEST(IsaDispatch, SpmmTnActiveBackendMatchesScalarBitwiseBothStrategies) {
   }
 }
 
-TEST(IsaDispatch, SoftmaxForwardActiveBackendMatchesScalarBitwise) {
+TEST(IsaDispatch, SoftmaxForwardEveryRungMatchesScalarBitwise) {
   Rng rng(64);
-  for (const int threads : {1, 2, 3, 8}) {
-    ThreadGuard guard(threads);
-    for (const std::size_t n : {std::size_t{1}, std::size_t{37},
-                                std::size_t{4000}}) {
-      const std::size_t c = 9;
-      auto scores = random_matrix(n, c, rng);
-      // Large spread exercises the rescale branch (running max updates).
-      for (double& v : scores.data()) v *= 30.0;
-      std::vector<std::int32_t> labels(n);
-      for (auto& l : labels) l = static_cast<std::int32_t>(rng.uniform_index(c + 1));
-      DenseMatrix p1(n, c), p2(n, c);
-      std::vector<double> l1(n), l2(n);
-      const double loss1 = kernels::softmax_forward(scores, labels, p1, l1);
-      const double loss2 = kernels::scalar::softmax_forward(scores, labels,
-                                                            p2, l2);
-      ASSERT_EQ(loss1, loss2) << "t=" << threads;
-      for (std::size_t e = 0; e < p1.size(); ++e) {
-        ASSERT_EQ(p1.data()[e], p2.data()[e]);
+  for (const auto& rung : host_rungs()) {
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      for (const std::size_t n : {std::size_t{1}, std::size_t{37},
+                                  std::size_t{4000}}) {
+        for (const std::size_t c : {std::size_t{9}, std::size_t{20}}) {
+          auto scores = random_matrix(n, c, rng);
+          // Large spread exercises the rescale branch (running max updates).
+          for (double& v : scores.data()) v *= 30.0;
+          std::vector<std::int32_t> labels(n);
+          for (auto& l : labels) {
+            l = static_cast<std::int32_t>(rng.uniform_index(c + 1));
+          }
+          DenseMatrix p1(n, c), p2(n, c);
+          std::vector<double> l1(n), l2(n);
+          const double loss1 = rung.softmax_forward(scores, labels, p1, l1);
+          const double loss2 =
+              kernels::scalar::softmax_forward(scores, labels, p2, l2);
+          ASSERT_EQ(loss1, loss2) << rung.isa() << " t=" << threads;
+          for (std::size_t e = 0; e < p1.size(); ++e) {
+            ASSERT_EQ(p1.data()[e], p2.data()[e]) << rung.isa();
+          }
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(l1[i], l2[i]) << rung.isa();
+          }
+        }
       }
-      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(l1[i], l2[i]);
     }
+  }
+}
+
+TEST(IsaDispatch, EveryRungValidatesShapes) {
+  const DenseMatrix a(3, 4), b(5, 2);
+  DenseMatrix c(3, 2);
+  for (const auto& rung : host_rungs()) {
+    EXPECT_THROW(rung.gemm_nn(1.0, a, b, 0.0, c), InvalidArgument)
+        << rung.isa();
+    EXPECT_THROW(rung.gemm_tn(1.0, a, b, 0.0, c), InvalidArgument)
+        << rung.isa();
+  }
+}
+
+TEST(IsaDispatch, MulAddProbeCountsItsFlops) {
+  // 2 flops per lane per chain step, twelve chains; scalar has one lane.
+  EXPECT_EQ(kernels::select_rung("scalar", {}).mul_add_probe(10), 240.0);
+  for (const auto& rung : host_rungs()) {
+    EXPECT_EQ(rung.mul_add_probe(20), 2.0 * rung.mul_add_probe(10))
+        << rung.isa();
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -176,6 +177,30 @@ TEST(WireCodec, FlippedHeaderBitFailsChecksum) {
   EXPECT_THROW(static_cast<void>(comm::wire::decode(bytes)), RuntimeError);
 }
 
+TEST(WireCodec, WrappingPayloadLengthIsANamedError) {
+  // A header declaring 2^61 doubles: frame_bytes(2^61) wraps to the bare
+  // 48-byte header, so only an overflow check tells this frame apart
+  // from an empty one. The checksum is valid, so nothing else rejects it.
+  auto bytes = comm::wire::encode(data_frame({}));
+  ASSERT_EQ(bytes.size(), comm::wire::kHeaderBytes);
+  const std::uint64_t len = std::uint64_t{1} << 61;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[32 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+  }
+  const std::uint64_t sum = binio::fnv1a_words(
+      std::span<const std::uint8_t>(bytes).subspan(0, 40));
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[40 + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+  }
+  try {
+    static_cast<void>(comm::wire::decode(bytes));
+    FAIL() << "frame with a wrapping length accepted";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("length"), std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // FaultSpec parsing.
 // ---------------------------------------------------------------------------
@@ -303,6 +328,32 @@ TEST(ByteReader, GetRawIsBoundsChecked) {
   binio::ByteReader r(bytes, "raw blob");
   EXPECT_EQ(r.get_raw(8).size(), 8u);
   EXPECT_THROW(static_cast<void>(r.get_raw(1)), RuntimeError);
+}
+
+TEST(ByteReader, F64ArrayLengthThatWrapsIsTruncationNotAnAllocation) {
+  // 2^61 doubles is 2^64 bytes, which wraps to 0 in a byte count.
+  binio::ByteWriter w;
+  w.put_u64(std::uint64_t{1} << 61);
+  const auto bytes = w.take();
+  binio::ByteReader r(bytes, "wrapped blob");
+  try {
+    static_cast<void>(r.get_f64_vector());
+    FAIL() << "f64 vector with a wrapping length accepted";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ByteReader, ZeroLengthF64ArrayFromAnEmptyBuffer) {
+  // Both the source span and the destination vector have null data();
+  // the read must not hand them to memcpy (undefined even for 0 bytes,
+  // and an abort under -fsanitize=undefined without recovery).
+  binio::ByteReader r(std::span<const std::uint8_t>{}, "empty blob");
+  std::vector<double> out;
+  r.get_f64_array(out, 0);
+  EXPECT_TRUE(out.empty());
+  r.expect_end();
 }
 
 TEST(ByteReader, ExpectEndRejectsTrailingBytes) {
