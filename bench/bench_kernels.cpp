@@ -1,6 +1,6 @@
 // Kernel-engine benchmarks: every rewired hot-path kernel (register-
-// blocked gemm_nn, two-phase gemm_tn / gemv_t / spmm_tn, fused softmax
-// forward) against the seed critical-section implementations preserved in
+// blocked gemm_nn, two-phase gemm_tn / gemv_t / spmm_tn, register-row
+// spmm_nn, fused softmax forward) against the seed critical-section implementations preserved in
 // la::kernels::reference, at 1/4/8 OpenMP threads, over dense MNIST-like
 // / CIFAR-like and sparse E18-like shapes.
 //
@@ -21,6 +21,8 @@
 #ifdef _OPENMP
 #include <omp.h>
 #endif
+
+#include <unistd.h>
 
 #include <cstdint>
 #include <vector>
@@ -226,6 +228,41 @@ void BM_SpmmTN_E18(benchmark::State& state) {
                                 8 * (a.rows() * c + a.cols() * c)));
 }
 
+// ------------------------------------ spmm_nn (sparse scores A·X, shard)
+
+template <bool kEngine>
+void BM_SpmmNN_E18(benchmark::State& state) {
+  set_threads(state.range(0));
+  // One rank's scores product in a paper-scale E18 run: a 400-row shard
+  // view into the middle of the parent matrix (p = 27,998 genes) against
+  // the full p×19 parameter panel, the CG's forward half.
+  const auto tt = data::make_e18_like(800, 10, 27998, 9);
+  const auto& parent = tt.train.sparse_features();
+  const la::CsrView a = parent.view(200, 600);
+  const std::size_t c = 19;
+  const auto x = random_matrix(a.cols(), c, 17);
+  la::DenseMatrix s(a.rows(), c);
+  for (auto _ : state) {
+    if constexpr (kEngine) {
+      la::spmm_nn(1.0, a, x, 0.0, s);
+    } else {
+      la::kernels::reference::spmm_nn(1.0, a, x, 0.0, s);
+    }
+    benchmark::DoNotOptimize(s.data().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * a.nnz() * c));
+  // The ledger's compulsory traffic: CSR storage, X read once, S written
+  // once.
+  const std::size_t csr_bytes =
+      a.nnz() * (sizeof(double) + sizeof(std::int64_t)) +
+      (a.rows() + 1) * sizeof(std::int64_t);
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(csr_bytes +
+                                8 * (a.cols() * c + a.rows() * c)));
+}
+
 // ------------------------------------------------ fused softmax forward
 
 template <bool kEngine>
@@ -289,9 +326,21 @@ void BM_CscBuildE18(benchmark::State& state) {
 // of host peak instead of an absolute number that only means something
 // on one runner.
 
-// STREAM-style triad a[i] = b[i] + s*c[i]: sustainable bandwidth.
+/// Size of the last-level data cache (sysconf), 32 MiB when unknown.
+std::size_t last_level_cache_bytes() {
+  for (const int name : {_SC_LEVEL4_CACHE_SIZE, _SC_LEVEL3_CACHE_SIZE,
+                         _SC_LEVEL2_CACHE_SIZE}) {
+    const long v = sysconf(name);
+    if (v > 0) return static_cast<std::size_t>(v);
+  }
+  return std::size_t{32} << 20;
+}
+
+// STREAM-style triad a[i] = b[i] + s*c[i]: sustainable bandwidth. The
+// three streams together span 4× the last-level cache, so the roof is
+// DRAM's, not the cache's, whatever the host.
 void BM_HostPeak_Triad(benchmark::State& state) {
-  const std::size_t n = std::size_t{1} << 22;  // 3 × 32 MiB streams
+  const std::size_t n = (4 * last_level_cache_bytes() + 23) / 24;
   std::vector<double> a(n, 0.0), b(n, 1.5), c(n, 2.5);
   for (auto _ : state) {
     const double s = 3.0;
@@ -338,6 +387,8 @@ BENCHMARK_TEMPLATE(BM_GemvT_Mnist, true)->Name("BM_GemvT_Mnist_Engine")->Arg(1)-
 BENCHMARK_TEMPLATE(BM_GemvT_Mnist, false)->Name("BM_GemvT_Mnist_Seed")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_SpmmTN_E18, true)->Name("BM_SpmmTN_E18_Engine")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_SpmmTN_E18, false)->Name("BM_SpmmTN_E18_Seed")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_SpmmNN_E18, true)->Name("BM_SpmmNN_E18_Engine")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
+BENCHMARK_TEMPLATE(BM_SpmmNN_E18, false)->Name("BM_SpmmNN_E18_Seed")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_SoftmaxForward, true)->Name("BM_SoftmaxForward_Engine")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_SoftmaxForward, false)->Name("BM_SoftmaxForward_Seed")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 BENCHMARK_TEMPLATE(BM_CscBuildE18, true)->Name("BM_CscBuildE18_Engine")->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);

@@ -108,6 +108,8 @@ struct Table {
   void (*gemm_tn)(double alpha, Dense a, Dense b, double beta, DenseOut c);
   void (*gemv_t)(double alpha, Dense a, const double* x, double beta,
                  double* y);
+  void (*spmm_nn)(double alpha, const Csr& a, Dense b, double beta,
+                  DenseOut c);
   void (*spmm_tn)(double alpha, const Csr& a, Dense b, double beta,
                   DenseOut c);
   double (*softmax_forward)(Dense scores, const std::int32_t* labels,
@@ -126,12 +128,20 @@ namespace {
 
 // ----------------------------------------------------------- lane types
 
+// Every lane type offers partial-width `load_n` / `store_n` for the
+// first `count` lanes (1 <= count <= width): load_n zeroes the lanes it
+// does not read, store_n leaves memory past `count` untouched, and
+// neither touches an address past p + count, so a row's tail needs no
+// scalar loop.
+
 /// 1 lane: the reference semantics every other rung reproduces bitwise.
 struct Scalar {
   static constexpr std::size_t width = 1;
   double v;
   static Scalar load(const double* p) { return {*p}; }
   void store(double* p) const { *p = v; }
+  static Scalar load_n(const double* p, std::size_t) { return {*p}; }
+  void store_n(double* p, std::size_t) const { *p = v; }
   static Scalar broadcast(double x) { return {x}; }
   static Scalar zero() { return {0.0}; }
   friend Scalar operator+(Scalar a, Scalar b) { return {a.v + b.v}; }
@@ -144,6 +154,16 @@ struct Avx2 {
   __m256d v;
   static Avx2 load(const double* p) { return {_mm256_loadu_pd(p)}; }
   void store(double* p) const { _mm256_storeu_pd(p, v); }
+  static __m256i mask(std::size_t count) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(static_cast<long long>(count)),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+  }
+  static Avx2 load_n(const double* p, std::size_t count) {
+    return {_mm256_maskload_pd(p, mask(count))};
+  }
+  void store_n(double* p, std::size_t count) const {
+    _mm256_maskstore_pd(p, mask(count), v);
+  }
   static Avx2 broadcast(double x) { return {_mm256_set1_pd(x)}; }
   static Avx2 zero() { return {_mm256_setzero_pd()}; }
   friend Avx2 operator+(Avx2 a, Avx2 b) { return {_mm256_add_pd(a.v, b.v)}; }
@@ -157,6 +177,15 @@ struct Avx512 {
   __m512d v;
   static Avx512 load(const double* p) { return {_mm512_loadu_pd(p)}; }
   void store(double* p) const { _mm512_storeu_pd(p, v); }
+  static __mmask8 mask(std::size_t count) {
+    return static_cast<__mmask8>((1u << count) - 1u);
+  }
+  static Avx512 load_n(const double* p, std::size_t count) {
+    return {_mm512_maskz_loadu_pd(mask(count), p)};
+  }
+  void store_n(double* p, std::size_t count) const {
+    _mm512_mask_storeu_pd(p, mask(count), v);
+  }
   static Avx512 broadcast(double x) { return {_mm512_set1_pd(x)}; }
   static Avx512 zero() { return {_mm512_setzero_pd()}; }
   friend Avx512 operator+(Avx512 a, Avx512 b) {
@@ -592,22 +621,125 @@ std::size_t nnz_boundary(const std::int64_t* rp, std::size_t len,
   return lower_bound_index(rp, len, target);
 }
 
-/// Wide-output spmm_tn: gather over the parent matrix's cached transposed
-/// (CSC) view — every output row is computed independently from its
-/// column's entries in ascending sample order. No per-thread dense
-/// partials at all, so reduction work scales with nnz instead of
-/// team × cols × n, and the summation order per output element is fixed —
-/// the result is bit-identical for ANY thread count. The CSC view is
-/// built once per parent matrix (CsrMatrix::transposed()) and is shared
-/// by every shard view of it, so the build amortizes across all ranks'
-/// CG iterations. The entry loop software-prefetches the B row
-/// kPrefetchAhead entries ahead: row_idx-indexed loads are the one
-/// pattern the hardware prefetcher cannot cover, and the cursor runs
-/// contiguously through the entry arrays so the lookahead index is
-/// always in cache already.
+/// Thread t's rows (or CSC columns) of `rp`, balanced by nonzero count
+/// with nnz_boundary; the last thread also takes the trailing empty rows,
+/// so the team's ranges tile [0, len − 1) exactly.
+Range nnz_range(const std::int64_t* rp, std::size_t len, std::int64_t nnz,
+                int t, int team) {
+  return {nnz_boundary(rp, len, nnz, t, team),
+          t + 1 == team ? len - 1 : nnz_boundary(rp, len, nnz, t + 1, team)};
+}
+
+// ------------------------------------------------------ sparse row tiles
+//
+// Both sparse products are sums of scaled dense rows: spmm_nn and the
+// CSC gather build one output row from many rows of B, the one-thread
+// spmm_tn adds one row of B into many output rows. A register tile holds
+// up to kRowVecs lane vectors of the row that stays put (the output row
+// of a gather, the B row of a scatter) across all the nonzeros that use
+// it, so that row is loaded and stored once per tile instead of once per
+// nonzero. The last vector of a tile may be partial (load_n / store_n),
+// so a row of any width needs no scalar tail. Four vectors cover the
+// E18 class panel (19 columns) in one tile on AVX-512.
+
+constexpr std::size_t kRowVecs = 4;
+
+/// Lane vector j of an NV-vector tile at p; the last one holds `tail`
+/// (1..V::width) lanes.
+template <class V, std::size_t NV>
+V tile_load(const double* p, std::size_t j, std::size_t tail) {
+  const double* q = p + j * V::width;
+  return j + 1 < NV || tail == V::width ? V::load(q) : V::load_n(q, tail);
+}
+
+template <class V, std::size_t NV>
+void tile_store(V x, double* p, std::size_t j, std::size_t tail) {
+  double* q = p + j * V::width;
+  if (j + 1 < NV || tail == V::width) {
+    x.store(q);
+  } else {
+    x.store_n(q, tail);
+  }
+}
+
+/// Calls f.template operator()<NV>(c0, tail) for each register tile of
+/// an n-column row: columns [c0, c0 + (NV − 1)·width + tail).
+template <class V, class F>
+void for_each_tile(std::size_t n, F&& f) {
+  static_assert(kRowVecs == 4, "the switch below covers 1..4 vectors");
+  constexpr std::size_t kTile = kRowVecs * V::width;
+  for (std::size_t c0 = 0; c0 < n; c0 += kTile) {
+    const std::size_t w = min_size(kTile, n - c0);
+    const std::size_t nv = (w + V::width - 1) / V::width;
+    const std::size_t tail = w - (nv - 1) * V::width;
+    switch (nv) {
+      case 1: f.template operator()<1>(c0, tail); break;
+      case 2: f.template operator()<2>(c0, tail); break;
+      case 3: f.template operator()<3>(c0, tail); break;
+      default: f.template operator()<4>(c0, tail); break;
+    }
+  }
+}
+
+/// One output row of a gather: out = beta·out + Σ_e (alpha·vals[e])·B_r,
+/// r = idx[e] − base, over e ∈ [e0, e1) in ascending order. The tile
+/// starts from the same beta == 0 / beta == 1 / other expressions as
+/// scale_output and adds each term like axpy, so every element sees the
+/// same rounded operations in the same order as "scale the row, then one
+/// axpy per nonzero". B rows up to kPrefetchAhead entries ahead are
+/// prefetched while e + kPrefetchAhead < pf_end (pf_end = 0: never).
+template <class V, class Idx>
+void gather_row(double alpha, double beta, const Idx* idx, Idx base,
+                const double* vals, std::int64_t e0, std::int64_t e1,
+                std::int64_t pf_end, const double* pb, std::size_t n,
+                double* out) {
+  for_each_tile<V>(n, [&]<std::size_t NV>(std::size_t c0, std::size_t tail) {
+    V acc[NV];
+    if (beta == 0.0) {
+      for (std::size_t j = 0; j < NV; ++j) acc[j] = V::zero();
+    } else if (beta == 1.0) {
+      for (std::size_t j = 0; j < NV; ++j) {
+        acc[j] = tile_load<V, NV>(out + c0, j, tail);
+      }
+    } else {
+      const V bv = V::broadcast(beta);
+      for (std::size_t j = 0; j < NV; ++j) {
+        acc[j] = tile_load<V, NV>(out + c0, j, tail) * bv;
+      }
+    }
+    for (std::int64_t e = e0; e < e1; ++e) {
+      if (e + kPrefetchAhead < pf_end) {
+        prefetch(pb + static_cast<std::size_t>(idx[e + kPrefetchAhead] - base) *
+                          n);
+      }
+      const V av = V::broadcast(alpha * vals[e]);
+      const double* brow =
+          pb + static_cast<std::size_t>(idx[e] - base) * n + c0;
+      for (std::size_t j = 0; j < NV; ++j) {
+        acc[j] = acc[j] + av * tile_load<V, NV>(brow, j, tail);
+      }
+    }
+    for (std::size_t j = 0; j < NV; ++j) {
+      tile_store<V, NV>(acc[j], out + c0, j, tail);
+    }
+  });
+}
+
+/// Wide-output spmm_tn on a team of more than one thread: gather over the
+/// parent matrix's cached transposed (CSC) view — every output row is
+/// computed independently from its column's entries in ascending sample
+/// order. No per-thread dense partials at all, so reduction work scales
+/// with nnz instead of team × cols × n, and the summation order per
+/// output element is fixed — the result is bit-identical for ANY thread
+/// count. The CSC view is built once per parent matrix
+/// (CsrMatrix::transposed()) and is shared by every shard view of it, so
+/// the build amortizes across all ranks' CG iterations. On a whole
+/// matrix the entry loop prefetches B rows kPrefetchAhead entries ahead,
+/// across column boundaries: row_idx-indexed loads are the one pattern
+/// the hardware prefetcher cannot cover.
 template <class V>
-void spmm_tn_transpose(double alpha, const Csr& a, Dense b, double beta,
-                       DenseOut c, [[maybe_unused]] bool parallel) {
+void spmm_tn_gather(double alpha, const Csr& a, Dense b, double beta,
+                    DenseOut c) {
   const std::size_t m = a.cols, n = b.cols;
   const Csc tv = csc_of(*a.parent);
   const std::int64_t* colptr = tv.col_ptr;
@@ -615,38 +747,19 @@ void spmm_tn_transpose(double alpha, const Csr& a, Dense b, double beta,
   const double* tvals = tv.values;
   const double* pb = b.data;
   double* pc = c.data;
-  const auto elim = static_cast<std::int64_t>(tv.entries);
 
   if (a.covers_parent) {
     const auto nnz = static_cast<std::int64_t>(a.nnz);
-#pragma omp parallel if (parallel)
+    const auto elim = static_cast<std::int64_t>(tv.entries);
+#pragma omp parallel
     {
-      const int team = team_size();
-      const int t = thread_id();
       // Independent per-output-row gathers, balanced by entry count; the
-      // boundaries depend only on (col_ptr, team), so the tiling is
-      // deterministic and covers exactly [0, jstar).
-      const std::size_t j0 = nnz_boundary(colptr, m + 1, nnz, t, team);
-      const std::size_t j1 = nnz_boundary(colptr, m + 1, nnz, t + 1, team);
-      for (std::size_t j = j0; j < j1; ++j) {
-        double* crow = pc + j * n;
-        scale_output<V>(beta, crow, n);
-        for (std::int64_t e = colptr[j]; e < colptr[j + 1]; ++e) {
-          if (e + kPrefetchAhead < elim) {
-            prefetch(pb +
-                     static_cast<std::size_t>(trows[e + kPrefetchAhead]) * n);
-          }
-          const double v = alpha * tvals[e];
-          const double* brow = pb + static_cast<std::size_t>(trows[e]) * n;
-          axpy<V>(v, brow, crow, n);
-        }
-      }
-      // jstar is the first column at which the prefix reaches nnz;
-      // trailing empty columns still need their beta scaling.
-      const std::size_t jstar = nnz_boundary(colptr, m + 1, nnz, team, team);
-      const Range jz = slice(m - jstar, t, team);
-      for (std::size_t j = jstar + jz.lo; j < jstar + jz.hi; ++j) {
-        scale_output<V>(beta, pc + j * n, n);
+      // ranges depend only on (col_ptr, team), so the tiling is
+      // deterministic.
+      const Range jr = nnz_range(colptr, m + 1, nnz, thread_id(), team_size());
+      for (std::size_t j = jr.lo; j < jr.hi; ++j) {
+        gather_row<V>(alpha, beta, trows, std::int32_t{0}, tvals, colptr[j],
+                      colptr[j + 1], elim, pb, n, pc + j * n);
       }
     }
     return;
@@ -658,34 +771,61 @@ void spmm_tn_transpose(double alpha, const Csr& a, Dense b, double beta,
   // the shard's entries in the same ascending order a copied shard's own
   // CSC would, so the result is bit-identical to the copy (and to any
   // thread count; columns are statically sliced, every output row is
-  // written by exactly one thread).
+  // written by exactly one thread). No prefetch: the entries past a
+  // column's subrange belong to other shards' rows.
   const auto lo_row = static_cast<std::int32_t>(a.row_begin);
   const auto hi_row = static_cast<std::int32_t>(a.row_begin + a.rows);
-#pragma omp parallel if (parallel)
+#pragma omp parallel
   {
-    const int team = team_size();
-    const int t = thread_id();
-    const Range jr = slice(m, t, team);
+    const Range jr = slice(m, thread_id(), team_size());
     for (std::size_t j = jr.lo; j < jr.hi; ++j) {
-      double* crow = pc + j * n;
-      scale_output<V>(beta, crow, n);
       const std::int32_t* cb = trows + colptr[j];
       const auto len = static_cast<std::size_t>(colptr[j + 1] - colptr[j]);
       const auto e0 = colptr[j] + static_cast<std::int64_t>(
                                       lower_bound_index(cb, len, lo_row));
       const auto e1 = colptr[j] + static_cast<std::int64_t>(
                                       lower_bound_index(cb, len, hi_row));
-      for (std::int64_t e = e0; e < e1; ++e) {
-        if (e + kPrefetchAhead < elim) {
-          prefetch(pb +
-                   static_cast<std::size_t>(trows[e + kPrefetchAhead]) * n);
-        }
-        const double v = alpha * tvals[e];
-        const double* brow =
-            pb + static_cast<std::size_t>(trows[e] - lo_row) * n;
-        axpy<V>(v, brow, crow, n);
-      }
+      gather_row<V>(alpha, beta, trows, lo_row, tvals, e0, e1, /*pf_end=*/0,
+                    pb, n, pc + j * n);
     }
+  }
+}
+
+/// Wide-output spmm_tn on one thread: scatter the CSR rows straight into
+/// C — no CSC, no binary search, no partials. C is beta-scaled first
+/// (scale_output), then each nonzero a_e of sample row i adds
+/// (alpha·a_e)·B_i into C row col(e), with B_i's tile in registers across
+/// the row's nonzeros. Output element (j, t) therefore receives its terms
+/// in ascending sample order as the same rounded operations the gather
+/// performs — the result is bit-identical to spmm_tn_gather at any team
+/// size, for every alpha and beta.
+template <class V>
+void spmm_tn_scatter(double alpha, const Csr& a, Dense b, double beta,
+                     DenseOut c) {
+  const std::size_t n = b.cols;
+  const std::int64_t* rp = a.row_ptr;
+  const std::int64_t* ci = a.col_idx;
+  const double* va = a.values;
+  double* pc = c.data;
+  scale_output<V>(beta, pc, c.rows * n);
+  for (std::size_t i = 0; i < a.rows; ++i) {
+    const std::int64_t e0 = rp[i], e1 = rp[i + 1];
+    if (e0 == e1) continue;
+    const double* brow = b.data + i * n;
+    for_each_tile<V>(n, [&]<std::size_t NV>(std::size_t c0, std::size_t tail) {
+      V bv[NV];
+      for (std::size_t j = 0; j < NV; ++j) {
+        bv[j] = tile_load<V, NV>(brow + c0, j, tail);
+      }
+      for (std::int64_t e = e0; e < e1; ++e) {
+        const V av = V::broadcast(alpha * va[e]);
+        double* crow = pc + static_cast<std::size_t>(ci[e]) * n + c0;
+        for (std::size_t j = 0; j < NV; ++j) {
+          tile_store<V, NV>(tile_load<V, NV>(crow, j, tail) + av * bv[j], crow,
+                            j, tail);
+        }
+      }
+    });
   }
 }
 
@@ -823,6 +963,26 @@ void engine_gemv_t(double alpha, Dense a, const double* x, double beta,
 }
 
 template <class V>
+void engine_spmm_nn(double alpha, const Csr& a, Dense b, double beta,
+                    DenseOut c) {
+  const std::size_t m = a.rows, n = b.cols;
+  if (m == 0 || n == 0) return;
+  const std::int64_t* rp = a.row_ptr;
+  const auto nnz = static_cast<std::int64_t>(a.nnz);
+  [[maybe_unused]] const bool parallel = 2 * a.nnz * n >= kParallelFlops;
+  // Every output row is one independent gather, so any partition gives
+  // the same bits; balancing by nonzero count keeps skewed shards even.
+#pragma omp parallel if (parallel)
+  {
+    const Range rr = nnz_range(rp, m + 1, nnz, thread_id(), team_size());
+    for (std::size_t i = rr.lo; i < rr.hi; ++i) {
+      gather_row<V>(alpha, beta, a.col_idx, std::int64_t{0}, a.values, rp[i],
+                    rp[i + 1], /*pf_end=*/0, b.data, n, c.data + i * n);
+    }
+  }
+}
+
+template <class V>
 void engine_spmm_tn(double alpha, const Csr& a, Dense b, double beta,
                     DenseOut c) {
   const std::size_t n = b.cols;
@@ -837,10 +997,15 @@ void engine_spmm_tn(double alpha, const Csr& a, Dense b, double beta,
 
   // Wide outputs (team × output panel larger than the nonzero count):
   // dense per-thread partials would cost more traffic than the matrix
-  // itself — build the transposed view and gather instead. Narrow
+  // itself — one thread scatters rows straight into C, a larger team
+  // gathers over the transposed view (the two agree bit for bit). Narrow
   // outputs keep the two-phase dense reduction below.
   if (static_cast<std::size_t>(tmax) * mn > a.nnz) {
-    spmm_tn_transpose<V>(alpha, a, b, beta, c, parallel);
+    if (tmax == 1) {
+      spmm_tn_scatter<V>(alpha, a, b, beta, c);
+    } else {
+      spmm_tn_gather<V>(alpha, a, b, beta, c);
+    }
     return;
   }
 
@@ -941,6 +1106,7 @@ constexpr Table make_table(const char* isa) {
           &engine_gemm_nn<V>,
           &engine_gemm_tn<V>,
           &engine_gemv_t<V>,
+          &engine_spmm_nn<V>,
           &engine_spmm_tn<V>,
           &engine_softmax_forward<V>,
           &mul_add_probe<V>};

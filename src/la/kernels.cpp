@@ -80,6 +80,16 @@ struct StdSimd {
   void store(double* p) const {
     v.copy_to(p, std::experimental::element_aligned);
   }
+  static StdSimd load_n(const double* p, std::size_t count) {
+    double lanes[width] = {};
+    for (std::size_t i = 0; i < count; ++i) lanes[i] = p[i];
+    return load(lanes);
+  }
+  void store_n(double* p, std::size_t count) const {
+    double lanes[width];
+    store(lanes);
+    for (std::size_t i = 0; i < count; ++i) p[i] = lanes[i];
+  }
   static StdSimd broadcast(double x) { return {vec(x)}; }
   static StdSimd zero() { return {vec(0.0)}; }
   friend StdSimd operator+(StdSimd a, StdSimd b) { return {a.v + b.v}; }
@@ -154,6 +164,12 @@ engine::Dense in(DenseView a) { return {a.data().data(), a.rows(), a.cols()}; }
 
 engine::DenseOut out(DenseMatrix& c) {
   return {c.data().data(), c.rows(), c.cols()};
+}
+
+engine::Csr in(const CsrView& a) {
+  return {a.row_ptr().data(), a.col_idx().data(), a.values().data(),
+          a.rows(),           a.cols(),           a.nnz(),
+          a.row_begin(),      a.covers_parent(),  a.parent()};
 }
 
 }  // namespace
@@ -241,17 +257,20 @@ void Rung::gemv_t(double alpha, DenseView a, std::span<const double> x,
   table_->gemv_t(alpha, in(a), x.data(), beta, y.data());
 }
 
+void Rung::spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+                   double beta, DenseMatrix& c) const {
+  NADMM_CHECK(a.cols() == b.rows(), "spmm_nn: inner dimension mismatch");
+  NADMM_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
+              "spmm_nn: output shape mismatch");
+  table_->spmm_nn(alpha, in(a), in(b), beta, out(c));
+}
+
 void Rung::spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
                    double beta, DenseMatrix& c) const {
   NADMM_CHECK(a.rows() == b.rows(), "spmm_tn: inner dimension mismatch");
   NADMM_CHECK(c.rows() == a.cols() && c.cols() == b.cols(),
               "spmm_tn: output shape mismatch");
-  const engine::Csr csr{a.row_ptr().data(), a.col_idx().data(),
-                        a.values().data(),  a.rows(),
-                        a.cols(),           a.nnz(),
-                        a.row_begin(),      a.covers_parent(),
-                        a.parent()};
-  table_->spmm_tn(alpha, csr, in(b), beta, out(c));
+  table_->spmm_tn(alpha, in(a), in(b), beta, out(c));
 }
 
 double Rung::softmax_forward(const DenseMatrix& scores,
@@ -288,6 +307,11 @@ void gemv_t(double alpha, DenseView a, std::span<const double> x,
   active_rung().gemv_t(alpha, a, x, beta, y);
 }
 
+void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+             double beta, DenseMatrix& c) {
+  active_rung().spmm_nn(alpha, a, b, beta, c);
+}
+
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c) {
   active_rung().spmm_tn(alpha, a, b, beta, c);
@@ -320,6 +344,11 @@ void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
 void gemv_t(double alpha, DenseView a, std::span<const double> x,
             double beta, std::span<double> y) {
   kRung.gemv_t(alpha, a, x, beta, y);
+}
+
+void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+             double beta, DenseMatrix& c) {
+  kRung.spmm_nn(alpha, a, b, beta, c);
 }
 
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
@@ -441,6 +470,34 @@ void gemv_t(double alpha, const DenseMatrix& a, std::span<const double> x,
 #pragma omp critical(nadmm_ref_gemv_t_reduce)
     {
       for (std::size_t j = 0; j < m; ++j) y[j] += alpha * local[j];
+    }
+  }
+}
+
+void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+             double beta, DenseMatrix& c) {
+  NADMM_CHECK(a.cols() == b.rows(), "spmm_nn: inner dimension mismatch");
+  NADMM_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
+              "spmm_nn: output shape mismatch");
+  const std::size_t n = b.cols();
+  const auto rp = a.row_ptr();
+  const auto ci = a.col_idx();
+  const auto va = a.values();
+  const double* pb = b.data().data();
+  double* pc = c.data().data();
+  [[maybe_unused]] const bool parallel = 2 * a.nnz() * n >= kParallelFlops;
+#pragma omp parallel for schedule(dynamic, 64) if (parallel)
+  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(a.rows()); ++i) {
+    double* crow = pc + static_cast<std::size_t>(i) * n;
+    if (beta == 0.0) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0;
+    } else if (beta != 1.0) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
+    }
+    for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
+      const double av = alpha * va[e];
+      const double* brow = pb + static_cast<std::size_t>(ci[e]) * n;
+      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
 }

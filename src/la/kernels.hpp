@@ -77,13 +77,21 @@ void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
 void gemv_t(double alpha, DenseView a, std::span<const double> x,
             double beta, std::span<double> y);
 
+/// C = alpha·A·B + beta·C (A: m×k CSR). Each output row is one
+/// independent gather held in registers across the row's nonzeros; rows
+/// are partitioned by nonzero count. Bit-identical for any thread count.
+void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+             double beta, DenseMatrix& c);
+
 /// C = alpha·Aᵀ·B + beta·C (A: k×m CSR). Hybrid lock-free strategy:
 /// narrow outputs use the two-phase reduction with CSR rows partitioned
-/// by nonzero count (boundaries depend only on (row_ptr, T)); wide
-/// outputs — T·m·n larger than nnz, the E18 regime — gather over the
-/// parent matrix's cached transposed (CSC) view instead (restricted to
-/// the view's row range by per-column binary search for shard views),
-/// which has no dense partials at all and is bit-identical for any
+/// by nonzero count (boundaries depend only on (row_ptr, T)). Wide
+/// outputs — T·m·n larger than nnz, the E18 regime — have no dense
+/// partials at all: one thread scatters the CSR rows straight into C,
+/// a larger team gathers over the parent matrix's cached transposed
+/// (CSC) view (restricted to the view's row range by per-column binary
+/// search for shard views). Both give every output element its terms in
+/// ascending sample order, so the wide regime is bit-identical for any
 /// thread count.
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
@@ -118,6 +126,8 @@ class Rung {
                DenseMatrix& c) const;
   void gemv_t(double alpha, DenseView a, std::span<const double> x,
               double beta, std::span<double> y) const;
+  void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+               double beta, DenseMatrix& c) const;
   void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
                double beta, DenseMatrix& c) const;
   double softmax_forward(const DenseMatrix& scores,
@@ -174,6 +184,8 @@ void gemm_tn(double alpha, DenseView a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 void gemv_t(double alpha, DenseView a, std::span<const double> x,
             double beta, std::span<double> y);
+void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+             double beta, DenseMatrix& c);
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 double softmax_forward(const DenseMatrix& scores,
@@ -192,6 +204,8 @@ void gemm_tn(double alpha, const DenseMatrix& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 void gemv_t(double alpha, const DenseMatrix& a, std::span<const double> x,
             double beta, std::span<double> y);
+void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
+             double beta, DenseMatrix& c);
 void spmm_tn(double alpha, const CsrMatrix& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 double softmax_forward(const DenseMatrix& scores,

@@ -9,16 +9,12 @@
 
 #include "la/flops.hpp"
 #include "la/kernels.hpp"
-#include "la/vector_ops.hpp"
 #include "support/check.hpp"
 #include "support/telemetry.hpp"
 
 namespace nadmm::la {
 
 namespace {
-// Same threshold as the dense kernels: small products stay serial.
-constexpr std::size_t kParallelFlops = kernels::kParallelFlops;
-
 // Below this many nonzeros the parallel CSC build's histogram/scan
 // overhead (team × cols counters) outweighs the scatter parallelism.
 constexpr std::size_t kParallelBuildNnz = std::size_t{1} << 16;
@@ -252,30 +248,9 @@ DenseMatrix CsrMatrix::to_dense() const {
 
 void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c) {
-  NADMM_CHECK(a.cols() == b.rows(), "spmm_nn: inner dimension mismatch");
-  NADMM_CHECK(c.rows() == a.rows() && c.cols() == b.cols(),
-              "spmm_nn: output shape mismatch");
+  TELEM_SPAN("kernel", "spmm_nn");
+  kernels::spmm_nn(alpha, a, b, beta, c);
   const std::size_t n = b.cols();
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto va = a.values();
-  const double* pb = b.data().data();
-  double* pc = c.data().data();
-  [[maybe_unused]] const bool parallel = 2 * a.nnz() * n >= kParallelFlops;
-#pragma omp parallel for schedule(dynamic, 64) if (parallel)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(a.rows()); ++i) {
-    double* crow = pc + static_cast<std::size_t>(i) * n;
-    if (beta == 0.0) {
-      for (std::size_t j = 0; j < n; ++j) crow[j] = 0.0;
-    } else if (beta != 1.0) {
-      for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
-    }
-    for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-      const double av = alpha * va[e];
-      const double* brow = pb + static_cast<std::size_t>(ci[e]) * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
   flops::add(2 * a.nnz() * n);
   flops::add_bytes(csr_bytes(a) +
                    8 * (a.cols() * n + flops::output_passes(beta) * a.rows() * n));
@@ -289,26 +264,6 @@ void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
   flops::add(2 * a.nnz() * n);
   flops::add_bytes(csr_bytes(a) +
                    8 * (a.rows() * n + flops::output_passes(beta) * a.cols() * n));
-}
-
-void spmv(double alpha, const CsrView& a, std::span<const double> x,
-          double beta, std::span<double> y) {
-  NADMM_CHECK(a.cols() == x.size(), "spmv: x size mismatch");
-  NADMM_CHECK(a.rows() == y.size(), "spmv: y size mismatch");
-  const auto rp = a.row_ptr();
-  const auto ci = a.col_idx();
-  const auto va = a.values();
-  [[maybe_unused]] const bool parallel = 2 * a.nnz() >= kParallelFlops;
-#pragma omp parallel for schedule(dynamic, 64) if (parallel)
-  for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(a.rows()); ++i) {
-    double acc = 0.0;
-    for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-      acc += va[e] * x[static_cast<std::size_t>(ci[e])];
-    }
-    y[i] = alpha * acc + beta * y[i];
-  }
-  flops::add(2 * a.nnz());
-  flops::add_bytes(csr_bytes(a) + 8 * (a.cols() + 2 * a.rows()));
 }
 
 }  // namespace nadmm::la

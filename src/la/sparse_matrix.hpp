@@ -196,8 +196,4 @@ void spmm_nn(double alpha, const CsrView& a, const DenseMatrix& b,
 void spmm_tn(double alpha, const CsrView& a, const DenseMatrix& b,
              double beta, DenseMatrix& c);
 
-/// y = alpha * A * x + beta * y.
-void spmv(double alpha, const CsrView& a, std::span<const double> x,
-          double beta, std::span<double> y);
-
 }  // namespace nadmm::la

@@ -80,9 +80,10 @@ void LeastSquaresObjective::hessian_vec(std::span<const double> x,
   NADMM_CHECK(v.size() == dim_ && hv.size() == dim_,
               "least squares: hessian_vec size mismatch");
   (void)x;  // constant Hessian: (AᵀA + λI) ⊗ I_m
-  la::DenseMatrix vm(p_, m_);
-  std::copy(v.begin(), v.end(), vm.data().begin());
-  shard_->scores(vm, panel_);  // panel_ = A·V
+  // V is staged in gm_ (same p × m shape), which accumulate_gradient
+  // overwrites below.
+  std::copy(v.begin(), v.end(), gm_.data().begin());
+  shard_->scores(gm_, panel_);  // panel_ = A·V
   shard_->accumulate_gradient(1.0, panel_, 0.0, gm_);
   std::copy(gm_.data().begin(), gm_.data().end(), hv.begin());
   if (lambda_ > 0.0) la::axpy(lambda_, v, hv);

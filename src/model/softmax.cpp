@@ -100,10 +100,11 @@ void SoftmaxObjective::hessian_vec(std::span<const double> x,
   NADMM_CHECK(v.size() == dim_ && hv.size() == dim_,
               "softmax: hessian_vec size mismatch");
   ensure_forward(x);
-  // U = A · V  (per-sample directional scores).
-  la::DenseMatrix vm(p_, cm1_);
-  std::copy(v.begin(), v.end(), vm.data().begin());
-  shard_->scores(vm, panel_);  // panel_ = U
+  // U = A · V  (per-sample directional scores). V is staged in gm_,
+  // which has its shape and is not read again before accumulate_gradient
+  // overwrites it below.
+  std::copy(v.begin(), v.end(), gm_.data().begin());
+  shard_->scores(gm_, panel_);  // panel_ = U
   // W_ic = P_ic (U_ic − ⟨P_i, U_i⟩): the softmax Hessian acting on the
   // score perturbation (the implicit class has U = 0 and drops out).
   const std::size_t n = shard_->num_samples();

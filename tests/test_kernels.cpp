@@ -399,6 +399,35 @@ TEST(KernelEngine, KernelsCreditBytesMoved) {
   EXPECT_GT(flops::read(), 0u);
 }
 
+TEST(KernelEngine, SparseProductsKeepTheirFlopAndByteLedger) {
+  // Simulated time is charged from these counters, so the sparse
+  // wrappers must credit exactly 2·nnz·n flops and the compulsory
+  // traffic: CSR (16 B per nonzero + row pointers), the dense operand
+  // once, the output once (twice when beta != 0).
+  Rng rng(71);
+  const auto full = random_csr(40, 30, 0.2, rng);
+  const CsrView view = full.view(7, 33);
+  const std::uint64_t nnz = view.nnz(), rows = 26, cols = 30, n = 5;
+  ASSERT_GT(nnz, 0u);
+  const auto x = random_matrix(cols, n, rng);
+  const auto w = random_matrix(rows, n, rng);
+  for (const double beta : {0.0, 0.5}) {
+    const std::uint64_t passes = beta != 0.0 ? 2 : 1;
+    const std::uint64_t csr = 16 * nnz + 8 * (rows + 1);
+    DenseMatrix s(rows, n);
+    flops::reset();
+    spmm_nn(1.0, view, x, beta, s);
+    EXPECT_EQ(flops::read(), 2 * nnz * n);
+    EXPECT_EQ(flops::read_bytes(), csr + 8 * (cols * n + passes * rows * n));
+    DenseMatrix g(cols, n);
+    flops::reset();
+    spmm_tn(1.0, view, w, beta, g);
+    EXPECT_EQ(flops::read(), 2 * nnz * n);
+    EXPECT_EQ(flops::read_bytes(), csr + 8 * (rows * n + passes * cols * n));
+  }
+  flops::reset();
+}
+
 TEST(KernelEngine, FlopsScopeTracksBytes) {
   flops::reset();
   flops::Scope scope;
@@ -524,6 +553,43 @@ TEST(ShardViews, CsrWideGatherIsThreadCountInvariantOnViews) {
   }
 }
 
+TEST(ShardViews, CsrWideScatterAtOneThreadMatchesGatherBitwise) {
+  // Wide outputs run the row scatter when the team is one thread and the
+  // CSC gather otherwise; both must give the same bits for every alpha
+  // and beta. Every product here clears the parallel threshold
+  // (2·nnz·n ≥ 2^17) and stays wide at one thread (cols·n > nnz), so
+  // 1 thread scatters and 2/4/8 threads gather. n = 37 spans two
+  // register tiles on every rung.
+  Rng rng(59);
+  const auto full = random_csr(1200, 3000, 0.01, rng);
+  for (const CsrView view : {CsrView(full), full.view(200, 1000)}) {
+    for (const std::size_t n : {std::size_t{19}, std::size_t{37}}) {
+      ASSERT_GE(2 * view.nnz() * n, kernels::kParallelFlops);
+      ASSERT_GT(full.cols() * n, view.nnz());
+      const auto b = random_matrix(view.rows(), n, rng);
+      const auto c0 = random_matrix(full.cols(), n, rng);
+      for (const double alpha : {1.0, 0.75, -2.0}) {
+        for (const double beta : {0.0, 1.0, -0.5}) {
+          DenseMatrix base = c0;
+          {
+            ThreadGuard guard(1);
+            kernels::spmm_tn(alpha, view, b, beta, base);
+          }
+          for (const int threads : {2, 4, 8}) {
+            ThreadGuard guard(threads);
+            DenseMatrix c = c0;
+            kernels::spmm_tn(alpha, view, b, beta, c);
+            ASSERT_EQ(0, std::memcmp(c.data().data(), base.data().data(),
+                                     c.size() * sizeof(double)))
+                << "rows=" << view.rows() << " n=" << n << " alpha=" << alpha
+                << " beta=" << beta << " t=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ShardViews, DefaultConstructedMatricesStayWellDefinedNoOps) {
   // A default CsrMatrix carries the canonical one-element row_ptr {0},
   // so its implicit CsrView (and every product on it) is a well-defined
@@ -534,8 +600,6 @@ TEST(ShardViews, DefaultConstructedMatricesStayWellDefinedNoOps) {
   EXPECT_EQ(view.rows(), 0u);
   EXPECT_EQ(view.nnz(), 0u);
   EXPECT_TRUE(view.covers_parent());
-  std::vector<double> x, y;
-  EXPECT_NO_THROW(spmv(1.0, empty, x, 0.0, y));
   DenseMatrix b(0, 3), c(0, 3);
   EXPECT_NO_THROW(spmm_nn(1.0, empty, b, 0.0, c));
   DenseMatrix ct(0, 3);
@@ -749,6 +813,58 @@ TEST(IsaDispatch, SpmmTnEveryRungMatchesScalarBitwiseBothStrategies) {
   }
 }
 
+TEST(IsaDispatch, SpmmNnEveryRungMatchesScalarAndReferenceBitwise) {
+  Rng rng(65);
+  std::vector<CsrMatrix> mats;
+  mats.push_back(random_csr(50, 20, 0.15, rng));
+  mats.push_back(random_csr(100, 40, 0.02, rng));  // many empty rows
+  mats.push_back(random_csr(500, 300, 0.05, rng)); // parallel at n ≥ 2
+  {
+    // Leading and trailing empty rows around a block large enough to run
+    // in parallel: the nnz-balanced partition must still cover (and
+    // beta-scale) every row.
+    std::vector<Triplet> t;
+    for (std::size_t i = 20; i < 320; ++i) {
+      for (std::size_t j = 0; j < 200; ++j) {
+        if (rng.bernoulli(0.1)) t.push_back({i, j, rng.normal()});
+      }
+    }
+    mats.push_back(CsrMatrix(420, 200, std::move(t)));
+  }
+  const std::size_t widths[] = {1, 3, 8, 19, 33, 37};
+  for (const auto& rung : host_rungs()) {
+    for (const int threads : {1, 2, 3, 8}) {
+      ThreadGuard guard(threads);
+      for (const auto& sp : mats) {
+        for (const CsrView view :
+             {CsrView(sp), sp.view(sp.rows() / 3, sp.rows() - 5),
+              sp.view(sp.rows() - 5, sp.rows())}) {
+          for (const std::size_t n : widths) {
+            const auto b = random_matrix(sp.cols(), n, rng);
+            const auto c0 = random_matrix(view.rows(), n, rng);
+            for (const double alpha : {1.0, 1.5}) {
+              for (const double beta : {0.0, 1.0, 0.5}) {
+                DenseMatrix c = c0, c_sc = c0, c_ref = c0;
+                rung.spmm_nn(alpha, view, b, beta, c);
+                kernels::scalar::spmm_nn(alpha, view, b, beta, c_sc);
+                kernels::reference::spmm_nn(alpha, view, b, beta, c_ref);
+                ASSERT_EQ(0, std::memcmp(c.data().data(), c_sc.data().data(),
+                                         c.size() * sizeof(double)))
+                    << rung.isa() << " vs scalar: " << view.rows() << "x"
+                    << sp.cols() << " n=" << n << " t=" << threads;
+                ASSERT_EQ(0, std::memcmp(c.data().data(), c_ref.data().data(),
+                                         c.size() * sizeof(double)))
+                    << rung.isa() << " vs reference: " << view.rows() << "x"
+                    << sp.cols() << " n=" << n << " t=" << threads;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(IsaDispatch, SoftmaxForwardEveryRungMatchesScalarBitwise) {
   Rng rng(64);
   for (const auto& rung : host_rungs()) {
@@ -789,6 +905,11 @@ TEST(IsaDispatch, EveryRungValidatesShapes) {
     EXPECT_THROW(rung.gemm_nn(1.0, a, b, 0.0, c), InvalidArgument)
         << rung.isa();
     EXPECT_THROW(rung.gemm_tn(1.0, a, b, 0.0, c), InvalidArgument)
+        << rung.isa();
+    const CsrMatrix sp(3, 4, {{0, 1, 1.0}});
+    EXPECT_THROW(rung.spmm_nn(1.0, sp, b, 0.0, c), InvalidArgument)
+        << rung.isa();
+    EXPECT_THROW(rung.spmm_tn(1.0, sp, b, 0.0, c), InvalidArgument)
         << rung.isa();
   }
 }

@@ -313,16 +313,6 @@ TEST(Csr, SpmmBetaAccumulates) {
   }
 }
 
-TEST(Csr, SpmvMatchesDense) {
-  Rng rng(9);
-  const auto a = random_csr(25, 18, 0.2, rng);
-  const auto x = random_vec(18, rng);
-  std::vector<double> y(25, 0.0), y_ref(25, 0.0);
-  spmv(1.0, a, x, 0.0, y);
-  gemv(1.0, a.to_dense(), x, 0.0, y_ref);
-  for (std::size_t i = 0; i < 25; ++i) EXPECT_NEAR(y[i], y_ref[i], 1e-10);
-}
-
 // ------------------------------------------------- transposed (CSC) view
 
 /// Pin the OpenMP thread count for a scope (no-op without OpenMP).
